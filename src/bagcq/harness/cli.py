@@ -36,7 +36,7 @@ from .formats import (
     serialize_database,
     serialize_query,
 )
-from .search import SearchConfig, search_counterexample
+from .search import Claim, SearchConfig, search_claim
 from .suites import SUITES, run_suite
 
 __all__ = ["main"]
@@ -140,7 +140,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         report = run_suite(name, trials=args.trials, seed=args.seed)
         status = "ok" if report.ok else "FAIL"
-        print(f"{name:14s} {status:4s} trials={report.trials:<6d} "
+        vacuity = "" if report.nonvacuous is None else f"nonvacuous={report.nonvacuous}"
+        print(f"{name:14s} {status:4s} trials={report.trials:<6d} {vacuity:17s} "
               f"time={report.wall_time:.2f}s", flush=True)
         for f in report.failures[:5]:
             print(f"    seed={f.seed}: {f.message}")
@@ -159,12 +160,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         mode=args.mode,
         max_states=args.max_states,
     )
-    d = search_counterexample(out.c, out.phi_s, out.phi_b, cfg)
-    if d is None:
+    result = search_claim(Claim(out.phi_s, out.phi_b, num=out.c), cfg)
+    verdicts = " ".join(f"{v}={result.verdicts[v]}" for v in ("less", "equal", "greater"))
+    print(f"checked {result.checked} databases, {result.nonvacuous} non-vacuous: {verdicts}")
+    if result.violator is None:
         print("no violation found")
         return 0
     print("violation found:")
-    print(serialize_database(d), end="")
+    print(serialize_database(result.violator), end="")
     return 1
 
 

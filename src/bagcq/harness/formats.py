@@ -25,6 +25,12 @@ decimal or a factored literal like 2^10 or 3^22*5^21.
 
 Count text (.count): 0, 1, or B^E joined by * (the str() form of Count).
 
+Instance text (instance.poly.json-lines, written by save_encoder_output
+beside phi_s.cq, phi_b.qx, c.count and arena.db): one JSON object per
+line, a "meta" record with c_frak, degree, m_count and n_count, and one
+record per polynomial p_s, p_b, p1, p2, p1_prime, p2_prime holding its
+vars and its [coefficient, index list] terms.
+
 Parsing is strict; anything unrecognized raises FormatError.  Schemas are
 inferred from what the text uses, so round-trips are exact for objects
 whose schema has no unused relations or constants.
@@ -33,6 +39,7 @@ whose schema has no unused relations or constants.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from typing import Optional
@@ -201,18 +208,22 @@ def parse_polynomial(text: str) -> Polynomial:
         if not line or line.startswith("#"):
             continue
         toks = line.split()
+        if toks[0] not in ("vars", "term"):
+            raise FormatError(f"line {lineno}: unknown clause {toks[0]!r}")
+        try:
+            numbers = [int(t) for t in toks[1:]]
+        except ValueError:
+            raise FormatError(f"line {lineno}: {toks[0]} takes integers") from None
         if toks[0] == "vars":
-            if num_vars is not None or len(toks) != 2:
+            if num_vars is not None or len(numbers) != 1:
                 raise FormatError(f"line {lineno}: malformed vars header")
-            num_vars = int(toks[1])
-        elif toks[0] == "term":
+            num_vars = numbers[0]
+        else:
             if num_vars is None:
                 raise FormatError(f"line {lineno}: term before vars header")
-            if len(toks) < 2:
+            if not numbers:
                 raise FormatError(f"line {lineno}: term needs a coefficient")
-            terms.append((int(toks[1]), tuple(int(t) for t in toks[2:])))
-        else:
-            raise FormatError(f"line {lineno}: unknown clause {toks[0]!r}")
+            terms.append((numbers[0], tuple(numbers[1:])))
     if num_vars is None:
         raise FormatError("missing vars header")
     return Polynomial(num_vars, tuple(terms))
@@ -419,16 +430,20 @@ def _instance_lines(inst: HilbertInstance) -> str:
 def _instance_from_lines(text: str) -> HilbertInstance:
     meta: Optional[dict] = None
     polys: dict[str, Polynomial] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        rec = json.loads(raw)
-        if rec["section"] == "meta":
-            meta = rec
-        else:
-            polys[rec["section"]] = Polynomial(
-                rec["vars"], tuple((c, tuple(m)) for c, m in rec["terms"])
-            )
+        try:
+            rec = json.loads(raw)
+            if rec["section"] == "meta":
+                keys = ("c_frak", "degree", "m_count", "n_count")
+                meta = {k: operator.index(rec[k]) for k in keys}  # TypeError unless an int
+            else:
+                polys[rec["section"]] = Polynomial(
+                    rec["vars"], tuple((c, tuple(m)) for c, m in rec["terms"])
+                )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"line {lineno}: malformed instance record ({exc!r})") from None
     if meta is None:
         raise FormatError("instance file lacks the meta record")
     missing = {"p_s", "p_b", "p1", "p2", "p1_prime", "p2_prime"} - set(polys)

@@ -1,4 +1,5 @@
-"""Seed-reproducible random structures for property suites and search.
+"""Seed-reproducible random structures, and the database sources that
+claims are checked over.
 
 All randomness flows through an explicit random.Random so that identical
 arguments always produce identical objects; suites derive one seed per
@@ -7,26 +8,23 @@ trial so every failure replays in isolation.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional, Sequence
+from typing import Iterator
 
-from ..relcore import Atom, Const, Database, Fact, Query, Schema, ValidationError
+from ..encoder import build_correct_database
+from ..polyreduce import HilbertInstance
+from ..relcore import MARS, VENUS, Atom, Const, Database, Fact, Query, Schema, ValidationError
 
-__all__ = ["derive_seed", "random_database", "random_query"]
+__all__ = [
+    "derive_seed", "random_database", "random_query",
+    "random_databases", "search_databases", "fact_subsets", "correct_databases",
+]
 
 
 def derive_seed(seed: int, trial: int) -> int:
     """Per-trial seed; spacing keeps neighboring streams uncorrelated."""
     return seed * 1_000_003 + trial
-
-
-def _all_tuples(elements: Sequence[str], arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for rest in _all_tuples(elements, arity - 1):
-        for e in elements:
-            yield rest + (e,)
 
 
 def random_database(
@@ -52,7 +50,7 @@ def random_database(
     elements = tuple(f"e{i}" for i in range(1, domain_size + 1))
     facts = []
     for rel, arity in schema.relations:
-        for t in _all_tuples(elements, arity):
+        for t in itertools.product(elements, repeat=arity):
             if rng.random() < density:
                 facts.append(Fact(rel, t))
     interp = {"mars": "e1", "venus": "e2"} if nontrivial else {}
@@ -94,3 +92,49 @@ def random_query(
             if t1 != t2:
                 neqs.append((t1, t2))
     return Query(schema, tuple(atoms), tuple(neqs))
+
+
+def random_databases(
+    schema: Schema, seed: int, trials: range, sizes: int, low: float, spread: float, steps: int
+) -> Iterator[Database]:
+    """The suites' draw: trial t gets 2 + t % sizes elements, density
+    low + spread * (t % steps) / steps, and seed derive_seed(seed, t)."""
+    for t in trials:
+        yield random_database(
+            schema, 2 + t % sizes, low + spread * (t % steps) / steps, derive_seed(seed, t)
+        )
+
+
+def search_databases(schema: Schema, max_domain: int, trials: int, seed: int) -> Iterator[Database]:
+    """The search's draw: random size and density per trial, and every
+    constant beyond mars and venus placed on a random element."""
+    for trial in range(trials):
+        rng = random.Random(derive_seed(seed, trial))
+        size = rng.randint(2, max_domain)
+        density = 0.1 + 0.8 * rng.random()
+        d = random_database(schema, size, density, rng.randrange(1 << 31))
+        elements = sorted(d.elements)
+        spare = {c: rng.choice(elements) for c in schema.constants if c not in d.const_interp}
+        yield Database(schema, d.elements, d.facts, {**d.const_interp, **spare})
+
+
+def fact_subsets(schema: Schema, max_domain: int) -> Iterator[Database]:
+    """Every fact set over e1..eN for N = 2..max_domain, as a bit mask
+    counting up; mars and venus sit on e1 and e2, other constants rotate."""
+    for n in range(2, max_domain + 1):
+        elements = tuple(f"e{i}" for i in range(1, n + 1))
+        interp = {MARS: elements[0], VENUS: elements[1]}
+        spare = [name for name in schema.constants if name not in interp]
+        interp.update(zip(spare, itertools.cycle(elements)))
+        all_facts = [Fact(rel, t) for rel, arity in schema.relations
+                     for t in itertools.product(elements, repeat=arity)]
+        for mask in range(1 << len(all_facts)):
+            facts = frozenset(f for i, f in enumerate(all_facts) if mask >> i & 1)
+            yield Database(schema, frozenset(elements), facts, dict(interp))
+
+
+def correct_databases(inst: HilbertInstance, box: int) -> Iterator[Database]:
+    """The correct database of every valuation in {0..box}^n, in
+    lexicographic order of the valuation."""
+    for values in itertools.product(range(box + 1), repeat=inst.n_count):
+        yield build_correct_database(inst, dict(zip(range(1, inst.n_count + 1), values)))

@@ -1,27 +1,85 @@
-"""Counterexample search for declared multiplication triples.
+"""Claims, their one checker, and the counterexample search.
 
-A triple (c, phi_s, phi_b) claims that c * phi_s(D) <= phi_b(D) on every
-non-trivial database.  The searcher hunts for a violating D, either by
-sampling random databases or by exhausting small fact sets, and shrinks
-any hit to a minimal witness by greedy fact removal.
-
-Checks that need a rational factor q = num/den use `rhs_scale`:
-violation of num * s <= den * b is searched as (c=num, rhs_scale=den).
+A claim num * lhs(D) <= den * rhs(D) is what the bound suites and the
+search assert.  `check_claim` runs one over any iterable of databases
+from `generators` and reports the number checked, the non-vacuous ones
+(lhs(D) > 0), the less / equal / greater histogram and the first
+violator, shrunk on request by greedy fact removal.  The search checks
+a triple's c * phi_s(D) <= phi_b(D) over random databases or every
+small fact set; a factor num/den is searched as (c=num, rhs_scale=den).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from ..counts import Count, compare_counts
 from ..qalgebra import QueryExpr, eval_expr, expr_schema
-from ..relcore import MARS, VENUS, Database, Fact, Schema, ValidationError, is_nontrivial
-from .generators import derive_seed, random_database
+from ..relcore import Database, ValidationError
+from .generators import fact_subsets, search_databases
 
-__all__ = ["SearchConfig", "search_counterexample"]
+__all__ = [
+    "Claim", "ClaimCheck", "check_claim", "SearchConfig", "search_claim", "search_counterexample"
+]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """num * lhs(D) <= den * rhs(D) on every non-trivial database D."""
+
+    lhs: QueryExpr
+    rhs: QueryExpr
+    num: Count = Count.of(1)
+    den: Count = Count.of(1)
+
+    def sides(self, d: Database) -> tuple[Count, Count]:
+        """num * lhs(D) and den * rhs(D)."""
+        return self.num * eval_expr(self.lhs, d), self.den * eval_expr(self.rhs, d)
+
+
+@dataclass
+class ClaimCheck:
+    checked: int = 0
+    nonvacuous: int = 0
+    verdicts: Counter = field(default_factory=Counter)
+    violator: Optional[Database] = None
+    violator_index: Optional[int] = None  # position of the violator in the source
+
+
+def check_claim(claim: Claim, databases: Iterable[Database], shrink: bool = False) -> ClaimCheck:
+    """Check the claim on each database up to the first violator, which
+    shrink=True reduces to a minimal one.  Sources keep mars and venus
+    apart and shrinking keeps the interpretation, so all are non-trivial."""
+    result = ClaimCheck()
+    for i, d in enumerate(databases):
+        left, right = claim.sides(d)
+        verdict = compare_counts(left, right)
+        result.checked += 1
+        result.nonvacuous += not left.is_zero()
+        result.verdicts[verdict] += 1
+        if verdict == "greater":
+            result.violator = _shrink(claim, d) if shrink else d
+            result.violator_index = i
+            break
+    return result
+
+
+def _shrink(claim: Claim, d: Database) -> Database:
+    """Greedy fact removal: drop the first fact, in sorted order, whose
+    removal keeps the violation, until no single fact can go."""
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for f in sorted(d.facts, key=lambda f: (f.relation, f.elements)):
+            smaller = Database(d.schema, d.elements, d.facts - {f}, dict(d.const_interp))
+            if compare_counts(*claim.sides(smaller)) == "greater":
+                d = smaller
+                shrunk = True
+                break
+    return d
 
 
 @dataclass(frozen=True)
@@ -39,88 +97,19 @@ class SearchConfig:
             raise ValidationError("searching needs at least two elements")
 
 
-def _canonical_interp(schema: Schema, elements: tuple[str, ...]) -> dict[str, str]:
-    # mars/venus pinned apart keeps every candidate non-trivial; remaining
-    # constants rotate through the domain deterministically.
-    interp: dict[str, str] = {}
-    spare = 0
-    for name in schema.constants:
-        if name == MARS:
-            interp[name] = elements[0]
-        elif name == VENUS:
-            interp[name] = elements[1]
-        else:
-            interp[name] = elements[spare % len(elements)]
-            spare += 1
-    return interp
-
-
-def _minimize(d: Database, violates: Callable[[Database], bool]) -> Database:
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for f in sorted(d.facts, key=lambda f: (f.relation, f.elements)):
-            smaller = Database(
-                d.schema, d.elements, d.facts - {f}, dict(d.const_interp)
-            )
-            if is_nontrivial(smaller) and violates(smaller):
-                d = smaller
-                shrunk = True
-                break
-    return d
+def search_claim(claim: Claim, cfg: SearchConfig) -> ClaimCheck:
+    """Check the claim over cfg.trials random draws or the first
+    cfg.max_states fact subsets, as cfg.mode picks; shrink any violator."""
+    schema = expr_schema(claim.lhs).merge(expr_schema(claim.rhs))
+    if cfg.mode == "exhaustive":
+        databases = itertools.islice(fact_subsets(schema, cfg.max_domain), cfg.max_states)
+    else:
+        databases = search_databases(schema, cfg.max_domain, cfg.trials, cfg.seed)
+    return check_claim(claim, databases, shrink=True)
 
 
 def search_counterexample(
-    c: Count,
-    phi_s: QueryExpr,
-    phi_b: QueryExpr,
-    cfg: SearchConfig,
-    rhs_scale: Count = Count.of(1),
+    c: Count, phi_s: QueryExpr, phi_b: QueryExpr, cfg: SearchConfig, rhs_scale: Count = Count.of(1)
 ) -> Optional[Database]:
     """Return a minimal violating database, or None if the search found none."""
-    schema = expr_schema(phi_s).merge(expr_schema(phi_b))
-
-    def violates(d: Database) -> bool:
-        lhs = c * eval_expr(phi_s, d)
-        rhs = rhs_scale * eval_expr(phi_b, d)
-        return compare_counts(lhs, rhs) == "greater"
-
-    if cfg.mode == "exhaustive":
-        states = 0
-        for n in range(2, cfg.max_domain + 1):
-            elements = tuple(f"e{i}" for i in range(1, n + 1))
-            interp = _canonical_interp(schema, elements)
-            all_facts = [
-                Fact(rel, t)
-                for rel, arity in schema.relations
-                for t in itertools.product(elements, repeat=arity)
-            ]
-            top = 1 << len(all_facts) if len(all_facts) < 60 else None
-            mask = 0
-            while (top is None or mask < top) and states < cfg.max_states:
-                facts = frozenset(
-                    f for i, f in enumerate(all_facts) if mask >> i & 1
-                )
-                d = Database(schema, frozenset(elements), facts, dict(interp))
-                states += 1
-                if is_nontrivial(d) and violates(d):
-                    return _minimize(d, violates)
-                mask += 1
-            if states >= cfg.max_states:
-                break
-        return None
-
-    for trial in range(cfg.trials):
-        rng = random.Random(derive_seed(cfg.seed, trial))
-        size = rng.randint(2, cfg.max_domain)
-        density = 0.1 + 0.8 * rng.random()
-        d = random_database(schema, size, density, rng.randrange(1 << 31))
-        elements = sorted(d.elements)
-        interp = dict(d.const_interp)
-        for name in schema.constants:
-            if name not in interp:
-                interp[name] = rng.choice(elements)
-        d = Database(d.schema, d.elements, d.facts, interp)
-        if violates(d):
-            return _minimize(d, violates)
-    return None
+    return search_claim(Claim(phi_s, phi_b, c, rhs_scale), cfg).violator

@@ -3,8 +3,10 @@ independent routes on desk-scale instances.
 
 Each suite draws seed-derived random instances (or sweeps a small box
 exhaustively), compares exact counts, and reports failures that replay
-from their recorded per-trial seed.  Suite names describe the behavior
-under test; `run_suite` takes one name, so iterate SUITES to run all.
+from their recorded per-trial seed.  Bound suites check each bound as a
+`Claim` over a source from `generators`, with the checker `search` uses.
+Suite names describe the behavior under test; `run_suite` takes one
+name, so iterate SUITES to run all.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from ..counts import Count, compare_counts
 from ..encoder import (
@@ -25,12 +27,10 @@ from ..encoder import (
 )
 from ..gadgets import (
     BETA_RELATION,
-    GAMMA_RELATION,
     alpha_witness,
     beta_witness,
     build_alpha,
     build_beta,
-    build_cycliq,
     build_gamma,
     classify_cycliques,
     gamma_witness,
@@ -39,7 +39,6 @@ from ..homcount import count_homomorphisms, exists_onto_homomorphism
 from ..polyreduce import (
     Polynomial,
     eval_poly,
-    find_root_bruteforce,
     normalize_hilbert,
     validate_instance,
 )
@@ -78,7 +77,14 @@ from .formats import (
     serialize_polynomial,
     serialize_query,
 )
-from .generators import derive_seed, random_database, random_query
+from .generators import (
+    correct_databases,
+    derive_seed,
+    random_database,
+    random_databases,
+    random_query,
+)
+from .search import Claim, check_claim
 
 __all__ = [
     "SuiteFailure",
@@ -104,6 +110,8 @@ class SuiteReport:
     trials: int
     failures: list[SuiteFailure] = field(default_factory=list)
     wall_time: float = 0.0
+    # Claim checks with a nonzero left side (strip makes two per trial).
+    nonvacuous: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -154,6 +162,20 @@ class _Ctx:
         if not cond:
             self.report.failures.append(SuiteFailure(seed, message, witness))
 
+    def bound(
+        self, label: str, claim: Claim, databases: Iterable[Database], seed: int,
+        trials: Optional[range] = None,
+    ) -> None:
+        """Check a claim over a source whose i-th database was drawn with
+        derive_seed(seed, trials[i]), or from seed when trials is None."""
+        result = check_claim(claim, databases)
+        self.report.nonvacuous = (self.report.nonvacuous or 0) + result.nonvacuous
+        if result.violator is not None:
+            left, right = claim.sides(result.violator)
+            s = seed if trials is None else derive_seed(seed, trials[result.violator_index])
+            self.check(False, s, f"{label} fails: {left} > {right}",
+                       serialize_database(result.violator))
+
 
 def _suite_oracle(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     schema = Schema({"R": 2, "T": 3, "U": 1})
@@ -173,65 +195,44 @@ def _suite_oracle(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
         )
 
 
+def _witness_counts(ctx: _Ctx, seed: int, build, witness, expected: Mapping) -> None:
+    """Each gadget witness gives the pair exactly the expected (s, b) counts."""
+    for param, want in expected.items():
+        pair, w = build(param), witness(param)
+        got = (count_homomorphisms(pair.q_s, w), count_homomorphisms(pair.q_b, w))
+        ctx.check(got == want, seed, f"{param}: witness counts {got}, expected {want}")
+
+
 def _suite_beta(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    for n in (3, 5, 9):
-        pair, w = build_beta(n), beta_witness(n)
-        s_count = count_homomorphisms(pair.q_s, w)
-        b_count = count_homomorphisms(pair.q_b, w)
-        ctx.check(
-            s_count == (n + 1) ** 2 and b_count == 2 * n,
-            seed,
-            f"n={n} witness counts ({s_count}, {b_count}), expected ({(n + 1) ** 2}, {2 * n})",
-        )
+    expected = {n: ((n + 1) ** 2, 2 * n) for n in (3, 5, 9)}
+    _witness_counts(ctx, seed, build_beta, beta_witness, expected)
     n = int(params.get("n", 3))
-    pair = build_beta(n)
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        d = random_database(pair.schema, 2 + trial % 3, 0.15 + 0.7 * (trial % 8) / 8, s)
-        lhs = 2 * n * count_homomorphisms(pair.q_s, d)
-        rhs = (n + 1) ** 2 * count_homomorphisms(pair.q_b, d)
-        ctx.check(lhs <= rhs, s, f"2n*s = {lhs} > {rhs} = (n+1)^2*b", serialize_database(d))
+    pair, rows = build_beta(n), range(trials)
+    claim = Claim(Leaf(pair.q_s), Leaf(pair.q_b), Count.of(2 * n), Count.of((n + 1) ** 2))
+    draws = random_databases(pair.schema, seed, rows, 3, 0.15, 0.7, 8)
+    ctx.bound("2n*s <= (n+1)^2*b", claim, draws, seed, rows)
 
 
 def _suite_gamma(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    for m, s_want, b_want in ((3, 2, 3), (4, 3, 4)):
-        pair, w = build_gamma(m), gamma_witness(m)
-        s_count = count_homomorphisms(pair.q_s, w)
-        b_count = count_homomorphisms(pair.q_b, w)
-        ctx.check(
-            s_count == s_want and b_count == b_want,
-            seed,
-            f"m={m} witness counts ({s_count}, {b_count}), expected ({s_want}, {b_want})",
-        )
+    _witness_counts(ctx, seed, build_gamma, gamma_witness, {3: (2, 3), 4: (3, 4)})
     m = int(params.get("m", 4))
-    pair = build_gamma(m)
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        d = random_database(pair.schema, 2 + trial % 3, 0.1 + 0.5 * (trial % 8) / 8, s)
-        lhs = m * count_homomorphisms(pair.q_s, d)
-        rhs = (m - 1) * count_homomorphisms(pair.q_b, d)
-        ctx.check(lhs <= rhs, s, f"m*s = {lhs} > {rhs} = (m-1)*b", serialize_database(d))
+    pair, rows = build_gamma(m), range(trials)
+    claim = Claim(Leaf(pair.q_s), Leaf(pair.q_b), Count.of(m), Count.of(m - 1))
+    draws = random_databases(pair.schema, seed, rows, 3, 0.1, 0.5, 8)
+    ctx.bound("m*s <= (m-1)*b", claim, draws, seed, rows)
 
 
 def _suite_alpha(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     for c in (2, 3):
-        pair, w = build_alpha(c), alpha_witness(c)
-        s_count = count_homomorphisms(pair.q_s, w)
-        b_count = count_homomorphisms(pair.q_b, w)
-        ctx.check(
-            b_count != 0 and s_count == c * b_count,
-            seed,
-            f"c={c} witness counts ({s_count}, {b_count}) break s = c*b != 0",
-        )
-        ctx.check(pair.multiplier == c, seed, f"c={c} multiplier is {pair.multiplier}")
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        c = 2 + trial % 2
         pair = build_alpha(c)
-        d = random_database(pair.schema, 2 + trial % 2, 0.1 + 0.5 * (trial % 8) / 8, s)
-        lhs = count_homomorphisms(pair.q_s, d)
-        rhs = c * count_homomorphisms(pair.q_b, d)
-        ctx.check(lhs <= rhs, s, f"c={c}: s = {lhs} > {rhs} = c*b", serialize_database(d))
+        ctx.check(pair.multiplier == c, seed, f"c={c} multiplier is {pair.multiplier}")
+        claim = Claim(Leaf(pair.q_s), Leaf(pair.q_b), den=Count.of(c))
+        tight = check_claim(claim, [alpha_witness(c)])
+        ctx.check(tight.verdicts == {"equal": 1} and tight.nonvacuous == 1, seed,
+                  f"c={c} witness breaks s = c*b != 0: {dict(tight.verdicts)}")
+        rows = range(c - 2, trials, 2)  # trial t checks the pair for c = 2 + t % 2
+        draws = random_databases(pair.schema, seed, rows, 2, 0.1, 0.5, 8)
+        ctx.bound(f"c={c}: s <= c*b", claim, draws, seed, rows)
 
 
 def _suite_disjoint_and(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
@@ -312,13 +313,9 @@ def _suite_star_onto(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None
         seed,
         "no onto homomorphism from the bigger star onto the smaller",
     )
-    schema = instance_schema(inst)
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        d = random_database(schema, 2 + trial % 2, 0.1 + 0.4 * (trial % 8) / 8, s)
-        small = count_homomorphisms(out.pi_s, d)
-        big = count_homomorphisms(out.pi_b, d)
-        ctx.check(small <= big, s, f"pi_s = {small} > {big} = pi_b", serialize_database(d))
+    rows = range(trials)
+    draws = random_databases(instance_schema(inst), seed, rows, 2, 0.1, 0.4, 8)
+    ctx.bound("pi_s <= pi_b", Claim(Leaf(out.pi_s), Leaf(out.pi_b)), draws, seed, rows)
 
 
 def _suite_star_eval(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
@@ -430,34 +427,16 @@ def _suite_cycle_guard(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> No
 
 def _suite_end_to_end(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     box = int(params.get("box", 3))
-
-    def compiled(poly: Polynomial):
-        inst = normalize_hilbert(poly)
-        return inst, assemble(inst)
-
-    inst, out = compiled(TINY_POLYNOMIAL)
-    d_root = build_correct_database(inst, {1: 1, 2: 1})
-    lhs = out.c * eval_expr(out.phi_s, d_root)
-    rhs = eval_expr(out.phi_b, d_root)
-    ctx.check(
-        compare_counts(lhs, rhs) == "greater",
-        seed,
-        f"root witness fails: c*phi_s = {lhs} vs phi_b = {rhs}",
-    )
-    checked = 1
-    inst2, out2 = compiled(builtin_polynomials()["2x+1"])
-    for values in itertools.product(range(box + 1), repeat=inst2.n_count):
-        v = dict(zip(range(1, inst2.n_count + 1), values))
-        d = build_correct_database(inst2, v)
-        lhs = out2.c * eval_expr(out2.phi_s, d)
-        rhs = eval_expr(out2.phi_b, d)
-        ctx.check(
-            compare_counts(lhs, rhs) != "greater",
-            seed,
-            f"rootless polynomial beat its bound at {v}: {lhs} > {rhs}",
-        )
-        checked += 1
-    ctx.report.trials = checked
+    inst = normalize_hilbert(TINY_POLYNOMIAL)
+    out = assemble(inst)
+    root = [build_correct_database(inst, {1: 1, 2: 1})]
+    found = check_claim(Claim(out.phi_s, out.phi_b, num=out.c), root).violator
+    ctx.check(found is not None, seed, "the root of x-1 does not beat c*phi_s <= phi_b")
+    inst = normalize_hilbert(builtin_polynomials()["2x+1"])
+    out = assemble(inst)
+    claim = Claim(out.phi_s, out.phi_b, num=out.c)
+    ctx.bound("rootless 2x+1: c*phi_s <= phi_b", claim, correct_databases(inst, box), seed)
+    ctx.report.trials = 1 + (box + 1) ** inst.n_count
 
 
 def _suite_normalization(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
@@ -499,30 +478,15 @@ def _suite_strip(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
         {"mars": "mars", "venus": "venus"},
     )
     d = inequality_elimination_witness(q_s, q_b, d0)
-    ctx.check(
-        count_homomorphisms(q_s, d) > count_homomorphisms(q_b, d),
-        seed,
-        "transformed witness does not separate the pair",
-        serialize_database(d),
-    )
-    relaxed = strip_inequalities(q_s)
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        d_rand = random_database(schema, 2 + trial % 2, 0.2 + 0.6 * (trial % 5) / 5, s)
-        doubled = blowup(d_rand, 2)
-        kept = count_homomorphisms(q_s, doubled)
-        total = count_homomorphisms(relaxed, doubled)
-        ctx.check(
-            2 * kept >= total,
-            s,
-            f"doubling kept only {kept} of {total} relaxed homomorphisms",
-            serialize_database(d_rand),
-        )
-        ctx.check(
-            count_homomorphisms(relaxed, d_rand) >= count_homomorphisms(q_s, d_rand),
-            s,
-            "removing inequalities lowered a count",
-        )
+    found = check_claim(Claim(Leaf(q_s), Leaf(q_b)), [d]).violator
+    ctx.check(found is not None, seed, "transformed witness does not separate the pair",
+              serialize_database(d))
+    relaxed, rows = Leaf(strip_inequalities(q_s)), range(trials)
+    draws = list(random_databases(schema, seed, rows, 2, 0.2, 0.6, 5))
+    doubled = [blowup(d_rand, 2) for d_rand in draws]
+    ctx.bound("doubling keeps half: relaxed <= 2*q_s", Claim(relaxed, Leaf(q_s), den=Count.of(2)),
+              doubled, seed, rows)
+    ctx.bound("stripping inequalities: q_s <= relaxed", Claim(Leaf(q_s), relaxed), draws, seed, rows)
 
 
 def _suite_cycliques(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:

@@ -1,4 +1,4 @@
-"""Exact homomorphism counting and enumeration.
+"""Exact homomorphism counting.
 
 The count of a boolean conjunctive query on a database is the number of
 assignments of its variables to elements under which every atom lands on a
@@ -35,7 +35,6 @@ __all__ = [
     "Count",
     "compare_counts",
     "count_homomorphisms",
-    "enumerate_homomorphisms",
     "exists_onto_homomorphism",
     "InequalityUnsupportedError",
 ]
@@ -272,67 +271,6 @@ def count_homomorphisms(q: Query, d: Database) -> int:
     patterns, neqs = _compile(q, d)
     idx = _FactIndex(d)
     return _count(frozenset(q.variables), patterns, neqs, idx, tuple(sorted(d.elements)), {})
-
-
-def enumerate_homomorphisms(
-    q: Query, d: Database, limit: Optional[int] = None
-) -> list[dict[str, str]]:
-    """Homomorphisms in lexicographic order of the sorted-variable tuple.
-
-    Returns at most ``limit`` assignments (all of them when limit is None).
-    """
-    patterns, neqs = _compile(q, d)
-    idx = _FactIndex(d)
-    elements = tuple(sorted(d.elements))
-    variables = q.variables
-    var_pos = {v: i for i, v in enumerate(variables)}
-
-    def ready_at(vs: set[str]) -> int:
-        return max((var_pos[v] for v in vs), default=-1)
-
-    # Constraints become checkable once their last variable is assigned.
-    p_ready: dict[int, list[_Pattern]] = {}
-    for p in patterns:
-        p_ready.setdefault(ready_at(_pattern_vars(p[1])), []).append(p)
-    n_ready: dict[int, list[tuple[_Arg, _Arg]]] = {}
-    for n in neqs:
-        n_ready.setdefault(ready_at({x for k, x in n if k == "v"}), []).append(n)
-
-    for rel, args in p_ready.get(-1, []):
-        g = _resolve_args(args, {})
-        if g is None or not idx.has(rel, g):
-            return []
-    for t1, t2 in n_ready.get(-1, []):
-        if _resolve_term(t1, {}) == _resolve_term(t2, {}):
-            return []
-
-    out: list[dict[str, str]] = []
-    assign: dict[str, str] = {}
-
-    def rec(i: int) -> bool:
-        if limit is not None and len(out) >= limit:
-            return True
-        if i == len(variables):
-            out.append(dict(assign))
-            return limit is not None and len(out) >= limit
-        v = variables[i]
-        for e in sorted(_candidates(v, patterns, neqs, idx, elements, assign)):
-            assign[v] = e
-            ok = all(
-                idx.has(rel, _resolve_args(args, assign))
-                for rel, args in p_ready.get(i, [])
-            ) and all(
-                _resolve_term(t1, assign) != _resolve_term(t2, assign)
-                for t1, t2 in n_ready.get(i, [])
-            )
-            if ok and rec(i + 1):
-                del assign[v]
-                return True
-            del assign[v]
-        return False
-
-    rec(0)
-    return out
 
 
 def exists_onto_homomorphism(q_from: Query, q_to: Query) -> Optional[dict[str, str]]:

@@ -42,7 +42,6 @@ __all__ = [
     "flatten",
     "conjoin_shared",
     "conjoin_disjoint",
-    "power",
     "blowup",
     "product",
     "power_product",
@@ -226,11 +225,6 @@ def conjoin_disjoint(q1: Query, q2: Query) -> Query:
                 break
             i += 1
     return Query(q1.schema, q1.atoms + q2.atoms, q1.inequalities + q2.inequalities)
-
-
-def power(e: QueryExpr, k: int) -> QueryExpr:
-    """k-fold disjoint self-conjunction as an expression node."""
-    return Power(e, k)
 
 
 def _pair_name(a: str, b: str) -> str:

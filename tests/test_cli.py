@@ -98,12 +98,13 @@ def test_search_clean_instance_exits_zero(inst_dir):
 
 def test_search_exit_code_on_violation(monkeypatch, inst_dir):
     from bagcq import Database, Schema
+    from bagcq.harness.search import ClaimCheck
 
     fake = Database(
         Schema({"E": 2}), frozenset({"e1", "e2"}), frozenset(),
         {"mars": "e1", "venus": "e2"},
     )
-    monkeypatch.setattr(cli, "search_counterexample", lambda *a, **k: fake)
+    monkeypatch.setattr(cli, "search_claim", lambda *a, **k: ClaimCheck(violator=fake))
     code, out, _ = run("search", "-i", inst_dir)
     assert code == 1
     assert "violation found" in out
@@ -177,6 +178,33 @@ def test_malformed_input_exits_two(tmp_path):
     code, _, err = run("eval", "-q", str(bad), "-d", str(d))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "target, text",
+    [
+        pytest.param("poly", "vars 2\nterm x 1\n", id="poly-term-not-an-integer"),
+        pytest.param("instance", '{"x":1}\n', id="instance-record-without-section"),
+        pytest.param("instance", "not json at all\n", id="instance-not-json"),
+        pytest.param(
+            "instance",
+            '{"c_frak": 2, "degree": "1", "m_count": 1, "n_count": 1, "section": "meta"}\n',
+            id="instance-meta-not-an-integer",
+        ),
+    ],
+)
+def test_malformed_file_exits_two_with_a_line_number(tmp_path, inst_dir, target, text):
+    if target == "poly":
+        poly = tmp_path / "bad.poly"
+        poly.write_text(text, encoding="utf-8")
+        argv = ("reduce", "-p", str(poly), "-o", str(tmp_path / "out"))
+    else:
+        with open(os.path.join(inst_dir, "instance.poly.json-lines"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ("search", "-i", inst_dir, "--trials", "1")
+    code, _, err = run(*argv)
+    assert code == 2
+    assert err.startswith("error: line ")
 
 
 def test_missing_file_exits_two(tmp_path):

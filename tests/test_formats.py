@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from bagcq import (
 )
 from bagcq.harness.formats import (
     FormatError,
+    _instance_from_lines,
     load_encoder_output,
     load_expr_file,
     parse_count,
@@ -167,3 +169,20 @@ def test_encoder_output_detects_constant_tampering(tmp_path):
         fh.write("3^22*5^20\n")
     with pytest.raises(FormatError):
         load_encoder_output(d)
+
+
+def test_readme_format_examples_parse_verbatim():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## File formats")[1].split("\n## ")[0]
+    blocks = dict(re.findall(r"```(\S+)\n(.*?)```", section, re.S))
+    assert sorted(blocks) == ["count", "cq", "db", "json-lines", "poly", "qx"]
+    q = parse_query(blocks["cq"])
+    assert len(q.atoms) == 2 and len(q.inequalities) == 1
+    d = parse_database(blocks["db"])
+    assert d.const_interp == {"mars": "e1", "venus": "e2"} and len(d.facts) == 2
+    assert parse_polynomial(blocks["poly"]) == Polynomial(3, ((1, (2, 2)), (-3, (2, 3)), (1, ())))
+    assert parse_expr(blocks["qx"]).children[1].exponent == 1024
+    assert parse_count(blocks["count"]) == Count(((3, 22), (5, 21)))
+    one = normalize_hilbert(Polynomial(1, ((1, ()),)))
+    assert _instance_from_lines(blocks["json-lines"]) == one

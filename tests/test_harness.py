@@ -1,6 +1,20 @@
 import pytest
 
-from bagcq import Atom, Count, Leaf, Query, Schema, ValidationError, build_alpha, build_beta
+from bagcq import (
+    Atom,
+    Count,
+    Database,
+    Leaf,
+    Query,
+    Schema,
+    ValidationError,
+    alpha_witness,
+    beta_witness,
+    build_alpha,
+    build_beta,
+    compare_counts,
+)
+from bagcq.harness.search import Claim, check_claim
 from bagcq.harness.generators import derive_seed, random_database, random_query
 from bagcq.harness.search import SearchConfig, search_counterexample
 from bagcq.harness.suites import SUITES, count_by_enumeration, run_suite
@@ -142,3 +156,35 @@ def test_search_config_validation():
         SearchConfig(mode="clever")
     with pytest.raises(ValidationError):
         SearchConfig(max_domain=1)
+
+
+def test_check_claim_counts_the_tight_beta_witness():
+    pair = build_beta(3)
+    claim = Claim(Leaf(pair.q_s), Leaf(pair.q_b), Count.of(6), Count.of(16))
+    result = check_claim(claim, [beta_witness(3)])
+    assert (result.checked, result.nonvacuous) == (1, 1)
+    assert dict(result.verdicts) == {"equal": 1}
+    assert result.violator is None
+
+
+def test_check_claim_marks_an_empty_database_vacuous():
+    pair = build_beta(3)
+    empty = Database(pair.schema, frozenset({"e1", "e2"}), frozenset(),
+                     {"mars": "e1", "venus": "e2"})
+    result = check_claim(Claim(Leaf(pair.q_s), Leaf(pair.q_b)), [empty])
+    assert (result.checked, result.nonvacuous) == (1, 0)
+    assert result.violator is None
+
+
+def test_check_claim_shrinks_the_violator_of_a_misdeclared_multiplier():
+    pair = build_alpha(2)
+    claim = Claim(Leaf(pair.q_s), Leaf(pair.q_b), num=Count.of(3))
+    w = alpha_witness(2)
+    result = check_claim(claim, [w], shrink=True)
+    d = result.violator
+    assert result.violator_index == 0 and dict(result.verdicts) == {"greater": 1}
+    assert d.facts < w.facts
+    assert compare_counts(*claim.sides(d)) == "greater"
+    for f in d.facts:
+        smaller = Database(d.schema, d.elements, d.facts - {f}, dict(d.const_interp))
+        assert compare_counts(*claim.sides(smaller)) != "greater"
