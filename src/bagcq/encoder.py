@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .counts import Count
 from .homcount import count_homomorphisms

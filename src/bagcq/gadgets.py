@@ -26,7 +26,6 @@ from .relcore import (
     Atom,
     Const,
     Database,
-    Fact,
     Query,
     Schema,
     Term,

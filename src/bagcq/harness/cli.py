@@ -248,7 +248,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, ValidationError, OSError, OverflowError) as exc:
+    except (FormatError, ValidationError, OSError, OverflowError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

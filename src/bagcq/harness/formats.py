@@ -25,30 +25,28 @@ decimal or a factored literal like 2^10 or 3^22*5^21.
 
 Count text (.count): 0, 1, or B^E joined by * (the str() form of Count).
 
-Instance text (instance.poly.json-lines, written by save_encoder_output
-beside phi_s.cq, phi_b.qx, c.count and arena.db): one JSON object per
-line, a "meta" record with c_frak, degree, m_count and n_count, and one
-record per polynomial p_s, p_b, p1, p2, p1_prime, p2_prime holding its
-vars and its [coefficient, index list] terms.
+A reduce output directory (save_encoder_output) holds phi_s.cq, phi_b.qx,
+c.count, arena.db and instance.poly, the input polynomial Q in .poly text.
+The instance is normalize_hilbert(Q); load_encoder_output rebuilds the
+whole output from Q and checks c.count against it.
 
-Parsing is strict; anything unrecognized raises FormatError.  Schemas are
-inferred from what the text uses, so round-trips are exact for objects
-whose schema has no unused relations or constants.
+Parsing is strict; anything unrecognized raises FormatError, which names
+the line in the line-based formats and the offset in .qx text.  Schemas
+are inferred from what the text uses, so round-trips are exact for
+objects whose schema has no unused relations or constants.
 """
 
 from __future__ import annotations
 
-import json
-import operator
 import os
 import re
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..counts import Count
 from ..encoder import EncoderOutput, assemble
-from ..polyreduce import HilbertInstance, Polynomial
+from ..polyreduce import Polynomial, normalize_hilbert
 from ..qalgebra import DisjointAnd, Leaf, Power, QueryExpr, flatten
-from ..relcore import MARS, VENUS, Atom, Const, Database, Fact, Query, Schema, Term
+from ..relcore import Atom, Const, Database, Fact, Query, Schema, Term
 
 __all__ = [
     "FormatError",
@@ -82,10 +80,28 @@ def _check_token(t: str) -> str:
     return t
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # also digit strings past the interpreter's conversion limit
+        raise FormatError(f"not an integer: {tok[:40]!r}") from None
+
+
+def _clauses(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, keyword, rest) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            kind, *rest = line.split(None, 1)
+            yield lineno, kind, "".join(rest)
+
+
 _ATOM_LINE = re.compile(r"(\w[\w.\-]*)\((.*)\)\Z")
 
 
-def _parse_atom_body(body: str) -> tuple[str, tuple[str, ...]]:
+def _parse_atom_body(body: str, arities: dict[str, int]) -> tuple[str, tuple[str, ...]]:
+    """Relation and argument tokens of REL(t1,...,tk); the arity must agree
+    with the relation's earlier uses, recorded in arities."""
     m = _ATOM_LINE.match(body.strip())
     if not m:
         raise FormatError(f"malformed atom {body!r}")
@@ -93,6 +109,8 @@ def _parse_atom_body(body: str) -> tuple[str, tuple[str, ...]]:
     args = tuple(a.strip() for a in arg_text.split(","))
     if not args or any(not a for a in args):
         raise FormatError(f"malformed argument list in {body!r}")
+    if arities.setdefault(rel, len(args)) != len(args):
+        raise FormatError(f"relation {rel} used with arity {len(args)}, earlier {arities[rel]}")
     return rel, args
 
 
@@ -109,30 +127,24 @@ def parse_query(text: str, schema: Optional[Schema] = None) -> Query:
     neqs: list[tuple[Term, Term]] = []
     arities: dict[str, int] = {}
     consts: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "atom":
-            rel, arg_toks = _parse_atom_body(rest)
-            if arities.setdefault(rel, len(arg_toks)) != len(arg_toks):
-                raise FormatError(
-                    f"line {lineno}: relation {rel} used with arity {len(arg_toks)}, "
-                    f"earlier {arities[rel]}"
-                )
-            terms = tuple(_parse_term(t) for t in arg_toks)
-            consts.update(t.name for t in terms if isinstance(t, Const))
-            atoms.append(Atom(rel, terms))
-        elif kind == "neq":
-            toks = rest.split()
-            if len(toks) != 2:
-                raise FormatError(f"line {lineno}: neq takes two terms")
-            pair = tuple(_parse_term(t) for t in toks)
-            consts.update(t.name for t in pair if isinstance(t, Const))
-            neqs.append(pair)
-        else:
-            raise FormatError(f"line {lineno}: unknown clause {kind!r}")
+    for lineno, kind, rest in _clauses(text):
+        try:
+            if kind == "atom":
+                rel, arg_toks = _parse_atom_body(rest, arities)
+                terms = tuple(_parse_term(t) for t in arg_toks)
+                consts.update(t.name for t in terms if isinstance(t, Const))
+                atoms.append(Atom(rel, terms))
+            elif kind == "neq":
+                toks = rest.split()
+                if len(toks) != 2:
+                    raise FormatError("neq takes two terms")
+                pair = tuple(_parse_term(t) for t in toks)
+                consts.update(t.name for t in pair if isinstance(t, Const))
+                neqs.append(pair)
+            else:
+                raise FormatError(f"unknown clause {kind!r}")
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if schema is None:
         schema = Schema(arities, tuple(sorted(consts)))
     return Query(schema, tuple(atoms), tuple(neqs))
@@ -157,31 +169,25 @@ def parse_database(text: str, schema: Optional[Schema] = None) -> Database:
     facts: list[Fact] = []
     interp: dict[str, str] = {}
     arities: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "elem":
-            for tok in rest.split():
-                elements.add(_check_token(tok))
-        elif kind == "const":
-            m = re.match(r"@(\S+)\s*=\s*(\S+)\Z", rest.strip())
-            if not m:
-                raise FormatError(f"line {lineno}: malformed const clause")
-            name, target = _check_token(m.group(1)), _check_token(m.group(2))
-            if interp.setdefault(name, target) != target:
-                raise FormatError(f"line {lineno}: constant @{name} bound twice")
-        elif kind == "fact":
-            rel, arg_toks = _parse_atom_body(rest)
-            if arities.setdefault(rel, len(arg_toks)) != len(arg_toks):
-                raise FormatError(
-                    f"line {lineno}: relation {rel} used with arity {len(arg_toks)}, "
-                    f"earlier {arities[rel]}"
-                )
-            facts.append(Fact(rel, tuple(_check_token(t) for t in arg_toks)))
-        else:
-            raise FormatError(f"line {lineno}: unknown clause {kind!r}")
+    for lineno, kind, rest in _clauses(text):
+        try:
+            if kind == "elem":
+                for tok in rest.split():
+                    elements.add(_check_token(tok))
+            elif kind == "const":
+                m = re.match(r"@(\S+)\s*=\s*(\S+)\Z", rest.strip())
+                if not m:
+                    raise FormatError("malformed const clause")
+                name, target = _check_token(m.group(1)), _check_token(m.group(2))
+                if interp.setdefault(name, target) != target:
+                    raise FormatError(f"constant @{name} bound twice")
+            elif kind == "fact":
+                rel, arg_toks = _parse_atom_body(rest, arities)
+                facts.append(Fact(rel, tuple(_check_token(t) for t in arg_toks)))
+            else:
+                raise FormatError(f"unknown clause {kind!r}")
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if schema is None:
         schema = Schema(arities, tuple(sorted(interp)))
     return Database(schema, frozenset(elements), frozenset(facts), interp)
@@ -203,29 +209,25 @@ def serialize_database(d: Database) -> str:
 def parse_polynomial(text: str) -> Polynomial:
     num_vars: Optional[int] = None
     terms: list[tuple[int, tuple[int, ...]]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if toks[0] not in ("vars", "term"):
-            raise FormatError(f"line {lineno}: unknown clause {toks[0]!r}")
+    for lineno, kind, rest in _clauses(text):
         try:
-            numbers = [int(t) for t in toks[1:]]
-        except ValueError:
-            raise FormatError(f"line {lineno}: {toks[0]} takes integers") from None
-        if toks[0] == "vars":
-            if num_vars is not None or len(numbers) != 1:
-                raise FormatError(f"line {lineno}: malformed vars header")
-            num_vars = numbers[0]
-        else:
-            if num_vars is None:
-                raise FormatError(f"line {lineno}: term before vars header")
-            if not numbers:
-                raise FormatError(f"line {lineno}: term needs a coefficient")
-            terms.append((numbers[0], tuple(numbers[1:])))
+            if kind not in ("vars", "term"):
+                raise FormatError(f"unknown clause {kind!r}")
+            numbers = [_int(t) for t in rest.split()]
+            if kind == "vars":
+                if num_vars is not None or len(numbers) != 1:
+                    raise FormatError("malformed vars header")
+                num_vars = numbers[0]
+            elif num_vars is None:
+                raise FormatError("term before vars header")
+            elif not numbers:
+                raise FormatError("term needs a coefficient")
+            else:
+                terms.append((numbers[0], tuple(numbers[1:])))
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if num_vars is None:
-        raise FormatError("missing vars header")
+        raise FormatError(f"line {len(text.splitlines()) + 1}: missing vars header")
     return Polynomial(num_vars, tuple(terms))
 
 
@@ -236,19 +238,29 @@ def serialize_polynomial(p: Polynomial) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FACTOR = re.compile(r"(\d+)\^(\d+)\Z")
+
+
+def _factors(text: str) -> list[tuple[int, int]]:
+    """The (B, E) pairs of a factored literal B^E*B^E*... with natural B, E."""
+    out = []
+    for part in text.split("*"):
+        m = _FACTOR.match(part)
+        if not m:
+            raise FormatError(f"malformed factor {part!r}")
+        out.append((_int(m.group(1)), _int(m.group(2))))
+    return out
+
+
 def parse_count(text: str) -> Count:
     body = text.strip()
-    if body == "0":
-        return Count.of(0)
-    if body == "1":
-        return Count.of(1)
-    factors = []
-    for part in body.split("*"):
-        base, sep, exp = part.partition("^")
-        if not sep:
-            raise FormatError(f"malformed count factor {part!r}")
-        factors.append((int(base), int(exp)))
-    return Count(tuple(factors))
+    if body in ("0", "1"):
+        return Count.of(int(body))
+    try:
+        return Count(tuple(_factors(body)))
+    except FormatError as exc:
+        lineno = text[: text.find(body)].count("\n") + 1
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def serialize_count(c: Count) -> str:
@@ -257,13 +269,10 @@ def serialize_count(c: Count) -> str:
 
 def _parse_exponent(tok: str) -> int:
     if re.fullmatch(r"\d+", tok):
-        return int(tok)
+        return _int(tok)
     total = 1
-    for part in tok.split("*"):
-        m = re.fullmatch(r"(\d+)\^(\d+)", part)
-        if not m:
-            raise FormatError(f"malformed exponent literal {tok!r}")
-        total *= int(m.group(1)) ** int(m.group(2))
+    for base, exp in _factors(tok):
+        total *= base**exp
     return total
 
 
@@ -275,6 +284,8 @@ def _leaf_from_string(
 ) -> Query:
     if "\n" in s or s.startswith(_INLINE_PREFIXES) or not s.strip():
         return parse_query(s, schema=schema)
+    if "\0" in s:
+        raise FormatError("leaf path holds a NUL character")
     path = s if base_dir is None else os.path.join(base_dir, s)
     with open(path, encoding="utf-8") as fh:
         return parse_query(fh.read(), schema=schema)
@@ -293,7 +304,7 @@ class _SexprReader:
         return FormatError(f"at offset {self.pos}: {msg}")
 
     def read_string(self) -> str:
-        if self.text[self.pos] != '"':
+        if self.text[self.pos : self.pos + 1] != '"':
             raise self._error("expected string")
         self.pos += 1
         out = []
@@ -364,7 +375,10 @@ def parse_expr(
     text: str, base_dir: Optional[str] = None, schema: Optional[Schema] = None
 ) -> QueryExpr:
     reader = _SexprReader(text)
-    expr = reader.read_expr(base_dir, schema)
+    try:
+        expr = reader.read_expr(base_dir, schema)
+    except RecursionError:
+        raise FormatError("expression nested too deeply") from None
     reader._skip_ws()
     if reader.pos != len(reader.text):
         raise FormatError("trailing content after expression")
@@ -398,86 +412,12 @@ def load_expr_file(path: str) -> QueryExpr:
         return parse_expr(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _poly_record(section: str, p: Polynomial) -> str:
-    return json.dumps(
-        {
-            "section": section,
-            "vars": p.num_vars,
-            "terms": [[c, list(m)] for c, m in p.terms],
-        },
-        sort_keys=True,
-    )
-
-
-def _instance_lines(inst: HilbertInstance) -> str:
-    lines = [
-        json.dumps(
-            {
-                "section": "meta",
-                "c_frak": inst.c_frak,
-                "degree": inst.degree,
-                "m_count": inst.m_count,
-                "n_count": inst.n_count,
-            },
-            sort_keys=True,
-        )
-    ]
-    for name in ("p_s", "p_b", "p1", "p2", "p1_prime", "p2_prime"):
-        lines.append(_poly_record(name, getattr(inst, name)))
-    return "\n".join(lines) + "\n"
-
-
-def _instance_from_lines(text: str) -> HilbertInstance:
-    meta: Optional[dict] = None
-    polys: dict[str, Polynomial] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-            if rec["section"] == "meta":
-                keys = ("c_frak", "degree", "m_count", "n_count")
-                meta = {k: operator.index(rec[k]) for k in keys}  # TypeError unless an int
-            else:
-                polys[rec["section"]] = Polynomial(
-                    rec["vars"], tuple((c, tuple(m)) for c, m in rec["terms"])
-                )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"line {lineno}: malformed instance record ({exc!r})") from None
-    if meta is None:
-        raise FormatError("instance file lacks the meta record")
-    missing = {"p_s", "p_b", "p1", "p2", "p1_prime", "p2_prime"} - set(polys)
-    if missing:
-        raise FormatError(f"instance file lacks sections {sorted(missing)}")
-    monomials = polys["p_s"].monomials()
-    position_rel = frozenset(
-        (mono[pos - 1], pos, m_idx)
-        for m_idx, mono in enumerate(monomials, 1)
-        for pos in range(1, meta["degree"] + 1)
-        if len(mono) >= pos
-    )
-    return HilbertInstance(
-        p_s=polys["p_s"],
-        p_b=polys["p_b"],
-        c_frak=meta["c_frak"],
-        degree=meta["degree"],
-        m_count=meta["m_count"],
-        n_count=meta["n_count"],
-        monomials=monomials,
-        position_rel=position_rel,
-        p1=polys["p1"],
-        p2=polys["p2"],
-        p1_prime=polys["p1_prime"],
-        p2_prime=polys["p2_prime"],
-    )
-
-
 def save_encoder_output(out: EncoderOutput, directory: str) -> None:
     """Write the compiled triple as flat files.
 
     phi_s is stored flattened (it is small by construction); phi_b keeps
-    its expression shape with inline leaves; the instance goes to one
-    JSON record per line so the whole output can be rebuilt.
+    its expression shape with inline leaves; the instance is stored as
+    its polynomial Q, from which the whole output can be rebuilt.
     """
     os.makedirs(directory, exist_ok=True)
 
@@ -489,18 +429,17 @@ def save_encoder_output(out: EncoderOutput, directory: str) -> None:
     write("phi_b.qx", serialize_expr(out.phi_b))
     write("c.count", serialize_count(out.c))
     write("arena.db", serialize_database(out.arena_db))
-    write("instance.poly.json-lines", _instance_lines(out.instance))
+    write("instance.poly", serialize_polynomial(out.instance.q))
 
 
 def load_encoder_output(directory: str) -> EncoderOutput:
     """Rebuild the full output from a saved directory.
 
-    The instance file is authoritative; the stored constant is checked
+    instance.poly is authoritative; the stored constant is checked
     against the rebuilt one to catch tampered or mismatched directories.
     """
-    with open(os.path.join(directory, "instance.poly.json-lines"), encoding="utf-8") as fh:
-        inst = _instance_from_lines(fh.read())
-    out = assemble(inst)
+    with open(os.path.join(directory, "instance.poly"), encoding="utf-8") as fh:
+        out = assemble(normalize_hilbert(parse_polynomial(fh.read())))
     with open(os.path.join(directory, "c.count"), encoding="utf-8") as fh:
         stored = parse_count(fh.read())
     if stored != out.c:

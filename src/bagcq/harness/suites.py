@@ -37,6 +37,7 @@ from ..gadgets import (
 )
 from ..homcount import count_homomorphisms, exists_onto_homomorphism
 from ..polyreduce import (
+    HilbertInstance,
     Polynomial,
     eval_poly,
     normalize_hilbert,
@@ -94,6 +95,7 @@ __all__ = [
     "count_by_enumeration",
     "builtin_polynomials",
     "TINY_POLYNOMIAL",
+    "normalization_identity_holds",
 ]
 
 
@@ -439,6 +441,19 @@ def _suite_end_to_end(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> Non
     ctx.report.trials = 1 + (box + 1) ** inst.n_count
 
 
+def normalization_identity_holds(inst: HilbertInstance) -> bool:
+    """P_b(1,.) - c*P_s(1,.) == c*(Q^2 - 1) as polynomials, where P(1,.)
+    substitutes 1 for the homogenizing variable x_1."""
+
+    def at_x1_one(p: Polynomial) -> Polynomial:
+        terms = tuple((c, tuple(i for i in m if i != 1)) for c, m in p.terms)
+        return Polynomial(p.num_vars, terms)
+
+    c, q = inst.c_frak, inst.q
+    gap = at_x1_one(inst.p_b) - at_x1_one(inst.p_s).scale(c)
+    return gap == (q * q - Polynomial.constant(q.num_vars, 1)).scale(c)
+
+
 def _suite_normalization(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     box = int(params.get("box", 4))
     checked = 0
@@ -452,6 +467,11 @@ def _suite_normalization(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> 
             and serialize_polynomial(again.p_b) == serialize_polynomial(inst.p_b),
             seed,
             f"{name}: normalization is not deterministic",
+        )
+        ctx.check(
+            normalization_identity_holds(inst),
+            seed,
+            f"{name}: P_b(1,.) - c*P_s(1,.) differs from c*(Q^2 - 1)",
         )
         used = q.variables_used()
         for values in itertools.product(range(box + 1), repeat=len(used)):

@@ -16,11 +16,10 @@ only speed; there is no caching across calls.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Optional
 
 from .counts import Count, compare_counts
 from .relcore import (
-    Atom,
     Const,
     Database,
     Query,
@@ -28,7 +27,6 @@ from .relcore import (
     UninterpretedConstantError,
     ValidationError,
     canonical_structure,
-    is_var,
 )
 
 __all__ = [

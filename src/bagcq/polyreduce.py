@@ -14,8 +14,8 @@ the query encoder consumes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 from .relcore import ValidationError
 
@@ -156,10 +156,12 @@ def find_root_bruteforce(q: Polynomial, bound: int) -> Optional[dict[int, int]]:
 
 @dataclass(frozen=True)
 class HilbertInstance:
-    """Normalized root-existence instance: the pair (P_s, P_b), the
-    constant c, the shared monomial list, and the position relation
-    mapping (variable index, position, monomial index)."""
+    """Normalized root-existence instance of the polynomial q: the pair
+    (P_s, P_b), the constant c, the shared monomial list, and the position
+    relation mapping (variable index, position, monomial index).  Every
+    field is a function of q; normalize_hilbert(q) rebuilds the instance."""
 
+    q: Polynomial
     p_s: Polynomial
     p_b: Polynomial
     c_frak: int
@@ -170,8 +172,6 @@ class HilbertInstance:
     position_rel: frozenset[tuple[int, int, int]]
     p1: Polynomial
     p2: Polynomial
-    p1_prime: Polynomial
-    p2_prime: Polynomial
 
 
 def validate_instance(inst: HilbertInstance) -> list[str]:
@@ -233,8 +233,6 @@ def normalize_hilbert(q: Polynomial) -> HilbertInstance:
     p2 = q_pos
     t_set = set(p1.monomials()) | set(p2.monomials())
     p_all = Polynomial(n, tuple((1, m) for m in t_set))
-    p1_prime = p1 + p_all
-    p2_prime = p2 + p_all
     degree = 1 + max(len(m) for m in t_set)
 
     def homogenize(p: Polynomial) -> Polynomial:
@@ -242,9 +240,9 @@ def normalize_hilbert(q: Polynomial) -> HilbertInstance:
             n, tuple((c, (1,) * (degree - len(m)) + m) for c, m in p.terms)
         )
 
-    p_s = homogenize(p1_prime)
+    p_s = homogenize(p1 + p_all)
     c_frak = max(c for c, _ in p_s.terms)
-    p_b = homogenize(p2_prime).scale(c_frak)
+    p_b = homogenize(p2 + p_all).scale(c_frak)
     monomials = p_s.monomials()
     position_rel = frozenset(
         (mono[pos - 1], pos, m_idx)
@@ -252,6 +250,7 @@ def normalize_hilbert(q: Polynomial) -> HilbertInstance:
         for pos in range(1, degree + 1)
     )
     return HilbertInstance(
+        q=q,
         p_s=p_s,
         p_b=p_b,
         c_frak=c_frak,
@@ -262,6 +261,4 @@ def normalize_hilbert(q: Polynomial) -> HilbertInstance:
         position_rel=position_rel,
         p1=p1,
         p2=p2,
-        p1_prime=p1_prime,
-        p2_prime=p2_prime,
     )

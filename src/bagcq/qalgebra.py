@@ -15,13 +15,11 @@ drive the inequality-elimination transform at the end of the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from .counts import Count
 from .homcount import count_homomorphisms
 from .relcore import (
     Atom,
-    Const,
     Database,
     Fact,
     Query,

@@ -178,33 +178,44 @@ def test_malformed_input_exits_two(tmp_path):
     code, _, err = run("eval", "-q", str(bad), "-d", str(d))
     assert code == 2
     assert "error:" in err
+    bad.write_bytes(b"\xff\xfeatom E(x,y)\n")
+    code, _, err = run("eval", "-q", str(bad), "-d", str(d))
+    assert code == 2
+    assert "error:" in err
 
 
 @pytest.mark.parametrize(
-    "target, text",
+    "name, text",
     [
-        pytest.param("poly", "vars 2\nterm x 1\n", id="poly-term-not-an-integer"),
-        pytest.param("instance", '{"x":1}\n', id="instance-record-without-section"),
-        pytest.param("instance", "not json at all\n", id="instance-not-json"),
+        pytest.param("bad.poly", "vars 2\nterm x 1\n", id="poly-term-not-an-integer"),
+        pytest.param("instance.poly", "vars 2\nterm x 1\n", id="instance-term-not-an-integer"),
         pytest.param(
-            "instance",
-            '{"c_frak": 2, "degree": "1", "m_count": 1, "n_count": 1, "section": "meta"}\n',
-            id="instance-meta-not-an-integer",
+            "instance.poly", "term 1 2\nvars 2\n", id="instance-term-before-vars-header"
         ),
+        pytest.param("instance.poly", "# Q = 1\n", id="instance-missing-vars-header"),
+        pytest.param("c.count", "x^2\n", id="count-base-not-an-integer"),
+        pytest.param("bad.cq", "atom E(x\n", id="cq-malformed-atom"),
+        pytest.param("bad.db", "elem a\nfact E(a\n", id="db-malformed-fact"),
+        pytest.param("bad.qx", "(leaf", id="qx-leaf-without-string"),
     ],
 )
-def test_malformed_file_exits_two_with_a_line_number(tmp_path, inst_dir, target, text):
-    if target == "poly":
-        poly = tmp_path / "bad.poly"
-        poly.write_text(text, encoding="utf-8")
-        argv = ("reduce", "-p", str(poly), "-o", str(tmp_path / "out"))
-    else:
-        with open(os.path.join(inst_dir, "instance.poly.json-lines"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        argv = ("search", "-i", inst_dir, "--trials", "1")
+def test_malformed_file_exits_two_with_a_line_number(tmp_path, inst_dir, name, text):
+    path = os.path.join(inst_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    arena = os.path.join(inst_dir, "arena.db")
+    argv = {
+        "bad.poly": ("reduce", "-p", path, "-o", str(tmp_path / "out")),
+        "instance.poly": ("search", "-i", inst_dir, "--trials", "1"),
+        "c.count": ("classify", "-d", arena, "-i", inst_dir),
+        "bad.cq": ("eval", "-q", path, "-d", arena),
+        "bad.db": ("eval", "-q", os.path.join(inst_dir, "phi_s.cq"), "-d", path),
+        "bad.qx": ("eval", "-q", path, "-d", arena),
+    }[name]
     code, _, err = run(*argv)
     assert code == 2
-    assert err.startswith("error: line ")
+    if name != "bad.qx":  # .qx errors carry a text offset instead
+        assert err.startswith("error: line "), err
 
 
 def test_missing_file_exits_two(tmp_path):

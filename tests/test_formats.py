@@ -1,7 +1,10 @@
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bagcq import (
     Atom,
@@ -15,12 +18,13 @@ from bagcq import (
     Power,
     Query,
     Schema,
+    ValidationError,
     assemble,
     normalize_hilbert,
+    validate_instance,
 )
 from bagcq.harness.formats import (
     FormatError,
-    _instance_from_lines,
     load_encoder_output,
     load_expr_file,
     parse_count,
@@ -35,6 +39,7 @@ from bagcq.harness.formats import (
     serialize_polynomial,
     serialize_query,
 )
+from bagcq.harness.suites import builtin_polynomials, normalization_identity_holds
 
 S = Schema({"R": 2, "U": 1})
 
@@ -142,23 +147,25 @@ def test_expr_parse_errors():
 
 
 def test_encoder_output_roundtrip(tmp_path):
-    inst = normalize_hilbert(Polynomial(2, ((1, (2,)), (-1, ()))))
-    out = assemble(inst)
-    d = str(tmp_path / "inst")
-    save_encoder_output(out, d)
-    names = sorted(os.listdir(d))
-    assert names == [
-        "arena.db",
-        "c.count",
-        "instance.poly.json-lines",
-        "phi_b.qx",
-        "phi_s.cq",
-    ]
-    again = load_encoder_output(d)
-    assert again.instance == out.instance
-    assert again.c == out.c
-    assert again.phi_b == out.phi_b
-    assert again.arena_db == out.arena_db
+    for name, q in builtin_polynomials().items():
+        out = assemble(normalize_hilbert(q))
+        d = str(tmp_path / name)
+        save_encoder_output(out, d)
+        names = sorted(os.listdir(d))
+        assert names == [
+            "arena.db",
+            "c.count",
+            "instance.poly",
+            "phi_b.qx",
+            "phi_s.cq",
+        ]
+        with open(os.path.join(d, "instance.poly"), encoding="utf-8") as fh:
+            assert parse_polynomial(fh.read()) == q
+        again = load_encoder_output(d)
+        assert again.instance == out.instance
+        assert again.c == out.c
+        assert again.phi_b == out.phi_b
+        assert again.arena_db == out.arena_db
 
 
 def test_encoder_output_detects_constant_tampering(tmp_path):
@@ -176,7 +183,7 @@ def test_readme_format_examples_parse_verbatim():
     with open(readme, encoding="utf-8") as fh:
         section = fh.read().split("## File formats")[1].split("\n## ")[0]
     blocks = dict(re.findall(r"```(\S+)\n(.*?)```", section, re.S))
-    assert sorted(blocks) == ["count", "cq", "db", "json-lines", "poly", "qx"]
+    assert sorted(blocks) == ["count", "cq", "db", "poly", "qx"]
     q = parse_query(blocks["cq"])
     assert len(q.atoms) == 2 and len(q.inequalities) == 1
     d = parse_database(blocks["db"])
@@ -184,5 +191,54 @@ def test_readme_format_examples_parse_verbatim():
     assert parse_polynomial(blocks["poly"]) == Polynomial(3, ((1, (2, 2)), (-3, (2, 3)), (1, ())))
     assert parse_expr(blocks["qx"]).children[1].exponent == 1024
     assert parse_count(blocks["count"]) == Count(((3, 22), (5, 21)))
-    one = normalize_hilbert(Polynomial(1, ((1, ()),)))
-    assert _instance_from_lines(blocks["json-lines"]) == one
+
+
+@st.composite
+def small_polynomials(draw):
+    """Nonzero Q over 2-3 variables x2.., degree <= 2, coefficients in [-3, 3]."""
+    num_vars = draw(st.integers(3, 4))
+    index = st.integers(2, num_vars)
+    monomial = st.lists(index, max_size=2).map(tuple)
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), monomial), min_size=1, max_size=5))
+    q = Polynomial(num_vars, tuple(terms))
+    if q.is_zero():
+        q = Polynomial(num_vars, ((1, ()),))
+    return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polynomials())
+def test_random_instances_are_valid_and_survive_save_and_load(q):
+    inst = normalize_hilbert(q)
+    assert validate_instance(inst) == []
+    assert normalization_identity_holds(inst)
+    out = assemble(inst)
+    with tempfile.TemporaryDirectory() as d:
+        save_encoder_output(out, d)
+        again = load_encoder_output(d)
+    assert again.instance == inst
+    assert again.c == out.c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("x^2")
+@example("2^x")
+@example("-2^3")
+@example("2^-1")
+@example("(leaf")
+@example("(dand " * 3000)
+@example('(leaf "a\x00b")')
+@example("atom E(x")
+@example("fact E(a")
+def test_parsers_raise_only_format_errors(text):
+    with tempfile.TemporaryDirectory() as empty:
+        for parse in (parse_query, parse_database, parse_polynomial, parse_count):
+            try:
+                parse(text)
+            except (FormatError, ValidationError):
+                pass
+        try:
+            parse_expr(text, base_dir=empty)
+        except (FormatError, ValidationError, OSError):
+            pass
