@@ -5,58 +5,73 @@ disjoint conjunction and power operators evaluate to numbers whose
 exponents can be astronomically large, so counts are never required to be
 materialized; comparison is exact regardless of magnitude.
 
-Normal form: factors sorted by base; equal bases merged; bases up to 2**64
-split into primes; value one is ((1, 1),) and value zero is ((0, 1),).
+Normal form: factors sorted by base, with pairwise-coprime bases >= 2
+obtained by factor refinement (Bach, Driscoll & Shallit, J. Algorithms
+1993), which needs only gcds; value one is ((1, 1),) and value zero is
+((0, 1),).  The form is not unique (12^1 and 2^2*3^1 are both refined),
+so equality refines the bases of both operands together: pairwise-coprime
+bases are multiplicatively independent, so two values are equal exactly
+when their exponents over the joint basis agree.  Unequal values that
+size bounds cannot separate are ordered by interval bounds on Σ e·ln(b)
+from the standard-library decimal module.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-# Bases up to this bound are prime-factored during normalization; anything
-# larger is kept composite and comparison falls back to interval logs.
-_FACTOR_BOUND = 1 << 64
 
 # Values whose size bound fits in this many bits may be materialized to a
 # plain int during comparison.
 _MATERIALIZE_BITS = 1 << 24
 
-# Interval-log comparison escalates working precision up to this cap.
-_MAX_LOG_PRECISION = 1 << 20
+# Log comparison tries 20, 80, 320, ... decimal digits, up to this cap.
+_MAX_LOG_DIGITS = 20 * 4**4
+
+# Hashes are values modulo this prime, so equal values hash equal.
+_HASH_PRIME = (1 << 61) - 1
 
 
 class ComparisonUndecidedError(ArithmeticError):
-    """Interval precision cap hit without separating the two values."""
+    """Log precision cap hit without separating the two values."""
 
 
-def _prime_factors(base: int) -> list[tuple[int, int]]:
-    from sympy import factorint  # deferred: keeps module import light
+def _refine(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Factor refinement: {base: exp} with pairwise-coprime bases >= 2.
 
-    return sorted(factorint(base).items())
+    The product of base**exp is unchanged.  Exponents may be negative (a
+    quotient); a base whose exponents cancel drops out.  Two bases sharing
+    g = gcd(b, c) > 1 split as b^e*c^f = (b/g)^e*(c/g)^f*g^(e+f), which
+    strictly lowers the product of all bases, so the loop ends.
+    """
+    basis: dict[int, int] = {}
+    todo = [(b, e) for b, e in pairs if b != 1 and e != 0]
+    while todo:
+        b, e = todo.pop()
+        c = next((c for c in basis if math.gcd(b, c) > 1), None)
+        if c is None:
+            basis[b] = e
+            continue
+        f = basis.pop(c)
+        g = math.gcd(b, c)
+        split = ((b // g, e), (c // g, f), (g, e + f))
+        todo += [(x, k) for x, k in split if x != 1 and k != 0]
+    return basis
 
 
 def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    merged: dict[int, int] = {}
+    pairs = list(pairs)
     for base, exp in pairs:
         if base < 0 or exp < 0:
             raise ValueError(f"negative base or exponent in ({base}, {exp})")
-        if exp == 0 or base == 1:
-            continue
-        if base == 0:
-            return ((0, 1),)
-        if base <= _FACTOR_BOUND:
-            for p, k in _prime_factors(base):
-                merged[p] = merged.get(p, 0) + k * exp
-        else:
-            merged[base] = merged.get(base, 0) + exp
-    if not merged:
-        return ((1, 1),)
-    return tuple(sorted(merged.items()))
+    if any(base == 0 and exp > 0 for base, exp in pairs):
+        return ((0, 1),)
+    return tuple(sorted(_refine(pairs).items())) or ((1, 1),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Count:
     """An exact natural in factored form Π base**exp."""
 
@@ -110,6 +125,10 @@ class Count:
             v *= b**e
         return v
 
+    def _quotient(self, other: Count) -> dict[int, int]:
+        """self/other over the joint coprime basis of two nonzero counts; {} when equal."""
+        return _refine(self.factors + tuple((b, -e) for b, e in other.factors))
+
     def compare(self, other: Count) -> int:
         """-1, 0 or 1; exact for any magnitudes."""
         if self.factors == other.factors:
@@ -118,28 +137,11 @@ class Count:
             return -1
         if other.is_zero():
             return 1
-        # Cancel shared factors: comparing a/g with b/g preserves order.
-        da, db = dict(self.factors), dict(other.factors)
-        for base in set(da) & set(db):
-            m = min(da[base], db[base])
-            da[base] -= m
-            db[base] -= m
-        fa = tuple(sorted((b, e) for b, e in da.items() if e > 0))
-        fb = tuple(sorted((b, e) for b, e in db.items() if e > 0))
-        if not fa and not fb:
+        q = self._quotient(other)
+        if not q:
             return 0
-        if not fa:
-            return -1  # 1 against a product of bases >= 2
-        if not fb:
-            return 1
-        # x -> x**(1/g) is monotone on naturals: strip the common exponent gcd.
-        g = math.gcd(*(e for _, e in fa + fb))
-        if g > 1:
-            fa = tuple((b, e // g) for b, e in fa)
-            fb = tuple((b, e // g) for b, e in fb)
-        a, b = Count(fa), Count(fb)
-        if a.factors == b.factors:
-            return 0
+        a = Count(tuple((b, e) for b, e in q.items() if e > 0))
+        b = Count(tuple((b, -e) for b, e in q.items() if e < 0))
         if a.bits_upper() < b.bits_lower():
             return -1
         if b.bits_upper() < a.bits_lower():
@@ -147,10 +149,18 @@ class Count:
         if max(a.bits_upper(), b.bits_upper()) <= _MATERIALIZE_BITS:
             va, vb = a.value(), b.value()
             return (va > vb) - (va < vb)
-        return _compare_by_logs(a.factors, b.factors)
+        return _log_sign(q)
 
-    # Comparison operators defer to compare(); equality of values coincides
-    # with equality of normal forms for prime-factored counts.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Count):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return self.factors == other.factors
+        return not self._quotient(other)
+
+    def __hash__(self) -> int:
+        return math.prod(pow(b, e, _HASH_PRIME) for b, e in self.factors) % _HASH_PRIME
+
     def __lt__(self, other: Count) -> bool:
         return self.compare(other) < 0
 
@@ -180,34 +190,36 @@ class Count:
         return "*".join(f"{b}^{e}" for b, e in self.factors)
 
 
-def _compare_by_logs(fa: tuple[tuple[int, int], ...], fb: tuple[tuple[int, int], ...]) -> int:
-    """Compare Π b**e by interval evaluation of Σ e·ln(b), escalating precision.
+def _log_sign(q: dict[int, int]) -> int:
+    """Sign of Σ e·ln(b) over a nonempty coprime quotient, escalating precision.
 
-    Terminates for prime-factored values: distinct normal forms have distinct
-    logarithms, so some precision separates the intervals.
+    decimal's ln is correctly rounded, so its neighbours at the working
+    precision bracket ln(b); products and sums are rounded outward.  The
+    bases are multiplicatively independent, so the sum is not zero and
+    some precision separates it from zero.
     """
-    from mpmath import iv  # deferred import
-
-    prec = 64
-    saved = iv.prec
-    try:
-        while prec <= _MAX_LOG_PRECISION:
-            iv.prec = prec
-            la = iv.mpf(0)
-            for base, exp in fa:
-                la += iv.mpf(exp) * iv.log(iv.mpf(base))
-            lb = iv.mpf(0)
-            for base, exp in fb:
-                lb += iv.mpf(exp) * iv.log(iv.mpf(base))
-            if la.b < lb.a:
-                return -1
-            if la.a > lb.b:
-                return 1
-            prec *= 4
-    finally:
-        iv.prec = saved
+    digits = 20
+    while digits <= _MAX_LOG_DIGITS:
+        down = decimal.Context(
+            prec=digits, rounding=decimal.ROUND_FLOOR, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+        )
+        up = down.copy()
+        up.rounding = decimal.ROUND_CEILING
+        lo = hi = decimal.Decimal(0)
+        for b, e in q.items():
+            ln = down.ln(b)
+            small, large = down.next_minus(ln), down.next_plus(ln)
+            if e < 0:
+                small, large = large, small
+            lo = down.add(lo, down.multiply(e, small))
+            hi = up.add(hi, up.multiply(e, large))
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        digits *= 4
     raise ComparisonUndecidedError(
-        f"values too close to separate at precision {_MAX_LOG_PRECISION}: {fa} vs {fb}"
+        f"values too close to separate at {_MAX_LOG_DIGITS} digits: {q}"
     )
 
 

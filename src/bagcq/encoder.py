@@ -66,6 +66,10 @@ __all__ = [
 ]
 
 
+# A Power exponent is materialized as a plain int of at most this many bits.
+MAX_EXPONENT_BITS = 1 << 20
+
+
 class NotArenaModelError(ValidationError):
     """The database does not embed the arena, so the operation is undefined."""
 
@@ -228,7 +232,7 @@ def build_delta(inst: HilbertInstance, c: Count) -> QueryExpr:
         cycles.append(Leaf(Query(schema, atoms)))
     # The exponent is a few thousand bits at worst; only counts of the form
     # base^c are kept factored, the integer c itself is materializable.
-    exponent = c.value(max_bits=1 << 20)
+    exponent = c.value(max_bits=MAX_EXPONENT_BITS)
     return Power(DisjointAnd(tuple(cycles)), exponent)
 
 

@@ -21,14 +21,16 @@ Expression text (.qx), an s-expression:
     (leaf "...")  (dand e1 e2 ...)  (pow e K)
 A leaf string holding newlines or starting with a clause keyword is an
 inline .cq body; anything else is a path relative to the file.  K is a
-decimal or a factored literal like 2^10 or 3^22*5^21.
+decimal or a factored literal like 2^10 or 3^22*5^21, whose size bound
+may not exceed MAX_EXPONENT_BITS.
 
 Count text (.count): 0, 1, or B^E joined by * (the str() form of Count).
 
 A reduce output directory (save_encoder_output) holds phi_s.cq, phi_b.qx,
 c.count, arena.db and instance.poly, the input polynomial Q in .poly text.
 The instance is normalize_hilbert(Q); load_encoder_output rebuilds the
-whole output from Q and checks c.count against it.
+whole output from Q and checks c.count against it; its errors name the
+file they come from.
 
 Parsing is strict; anything unrecognized raises FormatError, which names
 the line in the line-based formats and the offset in .qx text.  Schemas
@@ -43,7 +45,7 @@ import re
 from typing import Iterator, Optional
 
 from ..counts import Count
-from ..encoder import EncoderOutput, assemble
+from ..encoder import MAX_EXPONENT_BITS, EncoderOutput, assemble
 from ..polyreduce import Polynomial, normalize_hilbert
 from ..qalgebra import DisjointAnd, Leaf, Power, QueryExpr, flatten
 from ..relcore import Atom, Const, Database, Fact, Query, Schema, Term
@@ -270,10 +272,12 @@ def serialize_count(c: Count) -> str:
 def _parse_exponent(tok: str) -> int:
     if re.fullmatch(r"\d+", tok):
         return _int(tok)
-    total = 1
-    for base, exp in _factors(tok):
-        total *= base**exp
-    return total
+    try:
+        return Count(tuple(_factors(tok))).value(max_bits=MAX_EXPONENT_BITS)
+    except OverflowError:
+        raise FormatError(
+            f"exponent {tok[:40]!r} needs more than {MAX_EXPONENT_BITS} bits"
+        ) from None
 
 
 _INLINE_PREFIXES = ("atom ", "neq ", "#")
@@ -438,12 +442,19 @@ def load_encoder_output(directory: str) -> EncoderOutput:
     instance.poly is authoritative; the stored constant is checked
     against the rebuilt one to catch tampered or mismatched directories.
     """
-    with open(os.path.join(directory, "instance.poly"), encoding="utf-8") as fh:
-        out = assemble(normalize_hilbert(parse_polynomial(fh.read())))
-    with open(os.path.join(directory, "c.count"), encoding="utf-8") as fh:
-        stored = parse_count(fh.read())
+
+    def read(name: str, parse):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            return parse(text)
+        except FormatError as exc:
+            raise FormatError(f"{name}: {exc}") from None
+
+    out = assemble(normalize_hilbert(read("instance.poly", parse_polynomial)))
+    stored = read("c.count", parse_count)
     if stored != out.c:
         raise FormatError(
-            f"stored constant {stored} disagrees with the instance's {out.c}"
+            f"c.count: stored constant {stored} disagrees with the instance's {out.c}"
         )
     return out

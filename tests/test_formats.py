@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,7 +175,7 @@ def test_encoder_output_detects_constant_tampering(tmp_path):
     save_encoder_output(assemble(inst), d)
     with open(os.path.join(d, "c.count"), "w", encoding="utf-8") as fh:
         fh.write("3^22*5^20\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^c\.count: "):
         load_encoder_output(d)
 
 
@@ -220,6 +221,9 @@ def test_random_instances_are_valid_and_survive_save_and_load(q):
     assert again.c == out.c
 
 
+_OVERSIZED_POWER = '(pow (leaf "atom E(x,y)") 3^10000000)'
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text())
 @example("x^2")
@@ -231,6 +235,7 @@ def test_random_instances_are_valid_and_survive_save_and_load(q):
 @example('(leaf "a\x00b")')
 @example("atom E(x")
 @example("fact E(a")
+@example(_OVERSIZED_POWER)
 def test_parsers_raise_only_format_errors(text):
     with tempfile.TemporaryDirectory() as empty:
         for parse in (parse_query, parse_database, parse_polynomial, parse_count):
@@ -242,3 +247,11 @@ def test_parsers_raise_only_format_errors(text):
             parse_expr(text, base_dir=empty)
         except (FormatError, ValidationError, OSError):
             pass
+
+
+def test_oversized_exponent_literal_is_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="3\\^10000000"):
+        parse_expr(_OVERSIZED_POWER)
+    assert time.perf_counter() - start < 0.1
+    assert parse_expr('(pow (leaf "atom E(x,y)") 3^1000)').exponent == 3**1000
