@@ -43,7 +43,8 @@ def _refine(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
 
     The product of base**exp is unchanged.  Exponents may be negative (a
     quotient); a base whose exponents cancel drops out.  Two bases sharing
-    g = gcd(b, c) > 1 split as b^e*c^f = (b/g)^e*(c/g)^f*g^(e+f), which
+    g = gcd(b, c) > 1, with b = g^i*b' and c = g^j*c' where g divides
+    neither b' nor c', split as b^e*c^f = b'^e*c'^f*g^(i*e+j*f), which
     strictly lowers the product of all bases, so the loop ends.
     """
     basis: dict[int, int] = {}
@@ -56,9 +57,21 @@ def _refine(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
             continue
         f = basis.pop(c)
         g = math.gcd(b, c)
-        split = ((b // g, e), (c // g, f), (g, e + f))
+        (b, kb), (c, kc) = _divide_out(b, g), _divide_out(c, g)
+        split = ((b, e), (c, f), (g, kb * e + kc * f))
         todo += [(x, k) for x, k in split if x != 1 and k != 0]
     return basis
+
+
+def _divide_out(b: int, g: int) -> tuple[int, int]:
+    """(b / g**k, k) for the largest k with g**k dividing b.
+
+    Squaring g at each level takes O(log k) divisions, not k.
+    """
+    if b % g:
+        return b, 0
+    r, k = _divide_out(b, g * g)
+    return (r // g, 2 * k + 1) if r % g == 0 else (r, 2 * k)
 
 
 def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

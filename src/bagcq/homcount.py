@@ -5,13 +5,19 @@ assignments of its variables to elements under which every atom lands on a
 fact (constants go through the database's interpretation) and every
 inequality pair lands on two distinct elements.
 
-Counting uses backtracking with forward pruning and most-constrained-first
-variable order, plus connected-component factorization of the constraint
-graph: atoms and inequalities induce edges, constants do not, and the
-count of a disconnected query is the product of its component counts.
-Components are re-split after every assignment, which is what makes
-star- and cycle-shaped queries cheap.  Order never affects the result,
-only speed; there is no caching across calls.
+Every query is counted in two steps.  First its tree-shaped part is summed
+out leaf first (Yannakakis, VLDB 1981): a variable that shares atoms with
+at most one other variable and is in no inequality becomes a weight on
+that neighbour's elements, or a scalar factor if it has no neighbour, at
+the cost of one pass over the matching facts, whatever the variable names.
+Then the core that is left is searched by backtracking with forward
+pruning and most-constrained-first order, re-splitting the constraint
+graph (atoms and inequalities induce edges, constants do not) into
+connected components after every assignment.  A weighted variable takes
+only the elements its weight covers, each multiplying the count by its
+weight.  Ties in the search order break by variable name, which never
+changes the result but can change the speed of the search.  Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -48,19 +54,17 @@ _Pattern = tuple[str, tuple[_Arg, ...]]
 
 
 class _FactIndex:
-    """Per-relation fact lists plus a (relation, position, element) index."""
+    """Sorted elements, per-relation facts, and a (relation, position, element) index."""
 
     def __init__(self, d: Database) -> None:
+        self.elements = tuple(sorted(d.elements))
         self.by_rel: dict[str, tuple[tuple[str, ...], ...]] = dict(d.facts_by_relation)
-        self.fact_sets: dict[str, frozenset[tuple[str, ...]]] = {
-            r: frozenset(ts) for r, ts in self.by_rel.items()
-        }
-        by_pos: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
+        self.fact_sets = {r: frozenset(ts) for r, ts in self.by_rel.items()}
+        self.by_pos: dict[tuple[str, int, str], list[tuple[str, ...]]] = {}
         for r, ts in self.by_rel.items():
             for t in ts:
                 for i, e in enumerate(t):
-                    by_pos.setdefault((r, i, e), []).append(t)
-        self.by_pos = {k: tuple(v) for k, v in by_pos.items()}
+                    self.by_pos.setdefault((r, i, e), []).append(t)
 
     def has(self, relation: str, t: tuple[str, ...]) -> bool:
         return t in self.fact_sets.get(relation, frozenset())
@@ -110,6 +114,80 @@ def _resolve_term(t: _Arg, assign: dict[str, str]) -> Optional[str]:
 
 def _pattern_vars(args: tuple[_Arg, ...]) -> set[str]:
     return {x for kind, x in args if kind == "v"}
+
+
+def _sum_out(
+    v: str, u: Optional[str], patterns: list[_Pattern], idx: _FactIndex, wv: dict[str, int]
+) -> dict[Optional[str], int]:
+    """Σ of v's weight wv over the values of v that satisfy v's atoms, grouped
+    by u's value (the key None when v has no neighbour u).  Every atom is
+    over {v} or {v, u}; each is matched against the facts once."""
+    pairs: Optional[set[tuple[Optional[str], str]]] = None
+    for rel, args in patterns:
+        found = set()
+        for t in idx.by_rel.get(rel, ()):
+            seen: dict[str, str] = {}
+            if all(
+                t[i] == x if kind == "e" else seen.setdefault(x, t[i]) == t[i]
+                for i, (kind, x) in enumerate(args)
+            ):
+                found.add((seen.get(u), seen[v]))
+        if ("v", u) in args:
+            pairs = found if pairs is None else pairs & found
+        else:
+            wv = {b: wv[b] for _, b in found if b in wv}
+    table: dict[Optional[str], int] = {}
+    for a, b in pairs if pairs is not None else ((None, b) for b in wv):
+        if b in wv:
+            table[a] = table.get(a, 0) + wv[b]
+    return table
+
+
+def _peel(
+    patterns: list[_Pattern], neqs: list[tuple[_Arg, _Arg]], idx: _FactIndex
+) -> Optional[tuple[int, dict[str, dict[str, int]], frozenset[str], list[_Pattern]]]:
+    """Sum out, leaf first, every variable that shares atoms with at most
+    one other variable and appears in no inequality.  Returns (scalar,
+    weights, variables left, patterns left), or None when the count is 0.
+    """
+    if any(t1 == t2 for t1, t2 in neqs):
+        return None
+    in_neq = {x for pair in neqs for kind, x in pair if kind == "v"}
+    nbrs: dict[str, set[str]] = {}  # each variable's set holds itself too
+    atoms_of: dict[str, list[int]] = {}
+    for i, (rel, args) in enumerate(patterns):
+        vs = _pattern_vars(args)
+        if not vs and not idx.has(rel, tuple(x for _, x in args)):
+            return None
+        for x in vs:
+            nbrs.setdefault(x, set()).update(vs)
+            atoms_of.setdefault(x, []).append(i)
+    todo = [x for x, ns in nbrs.items() if len(ns) <= 2 and x not in in_neq]
+    if not todo:
+        return 1, {}, frozenset(nbrs) | in_neq, patterns
+    scalar, weights, dead = 1, {}, set()
+    while todo:
+        v = todo.pop()
+        if v not in nbrs:
+            continue  # queued twice
+        u = next((x for x in nbrs.pop(v) if x != v), None)
+        mine = [patterns[i] for i in atoms_of[v] if i not in dead]
+        dead.update(atoms_of[v])
+        wv = weights.pop(v, None) or dict.fromkeys(idx.elements, 1)
+        table = _sum_out(v, u, mine, idx, wv)
+        if u in weights:
+            table = {a: w * weights[u][a] for a, w in table.items() if a in weights[u]}
+        if not table:
+            return None
+        if u is None:
+            scalar *= table[None]
+            continue
+        weights[u] = table
+        nbrs[u].discard(v)
+        if len(nbrs[u]) <= 2 and u not in in_neq:
+            todo.append(u)
+    left = [p for i, p in enumerate(patterns) if i not in dead]
+    return scalar, weights, frozenset(nbrs) | in_neq, left
 
 
 def _candidates(
@@ -202,8 +280,8 @@ def _count(
     patterns: list[_Pattern],
     neqs: list[tuple[_Arg, _Arg]],
     idx: _FactIndex,
-    elements: tuple[str, ...],
     assign: dict[str, str],
+    weights: dict[str, dict[str, int]],
 ) -> int:
     live_p: list[_Pattern] = []
     for rel, args in patterns:
@@ -225,10 +303,7 @@ def _count(
     for comp in _components(vars_left, live_p, live_n):
         cp = [p for p in live_p if _pattern_vars(p[1]) & comp]
         cn = [n for n in live_n if {x for k, x in n if k == "v"} & comp]
-        if not cp and not cn:
-            total *= len(elements) ** len(comp)
-        else:
-            total *= _branch(comp, cp, cn, idx, elements, assign)
+        total *= _branch(comp, cp, cn, idx, assign, weights)
         if total == 0:
             return 0
     return total
@@ -239,23 +314,27 @@ def _branch(
     patterns: list[_Pattern],
     neqs: list[tuple[_Arg, _Arg]],
     idx: _FactIndex,
-    elements: tuple[str, ...],
     assign: dict[str, str],
+    weights: dict[str, dict[str, int]],
 ) -> int:
     best_v: Optional[str] = None
     best_c: set[str] = set()
     for v in sorted(comp):
-        c = _candidates(v, patterns, neqs, idx, elements, assign)
+        c = _candidates(v, patterns, neqs, idx, idx.elements, assign)
+        if v in weights:
+            c.intersection_update(weights[v])
         if not c:
             return 0
         if best_v is None or len(c) < len(best_c):
             best_v, best_c = v, c
     assert best_v is not None
     rest = comp - {best_v}
+    weight = weights.get(best_v)
     total = 0
     for e in sorted(best_c):
         assign[best_v] = e
-        total += _count(rest, patterns, neqs, idx, elements, assign)
+        n = _count(rest, patterns, neqs, idx, assign, weights)
+        total += n if weight is None else weight[e] * n
         del assign[best_v]
     return total
 
@@ -268,7 +347,11 @@ def count_homomorphisms(q: Query, d: Database) -> int:
     """
     patterns, neqs = _compile(q, d)
     idx = _FactIndex(d)
-    return _count(frozenset(q.variables), patterns, neqs, idx, tuple(sorted(d.elements)), {})
+    peeled = _peel(patterns, neqs, idx)
+    if peeled is None:
+        return 0
+    scalar, weights, core, patterns = peeled
+    return scalar * _count(core, patterns, neqs, idx, {}, weights)
 
 
 def exists_onto_homomorphism(q_from: Query, q_to: Query) -> Optional[dict[str, str]]:
@@ -295,10 +378,8 @@ def exists_onto_homomorphism(q_from: Query, q_to: Query) -> Optional[dict[str, s
         if len(var_set - covered) > len(unassigned):
             return None
         if not unassigned:
-            for rel, args in patterns:
-                if not idx.has(rel, _resolve_args(args, assign)):
-                    return None
-            return dict(assign)
+            ok = all(idx.has(rel, _resolve_args(args, assign)) for rel, args in patterns)
+            return dict(assign) if ok else None
         best_v: Optional[str] = None
         best_c: set[str] = set()
         for v in sorted(unassigned):
@@ -311,10 +392,9 @@ def exists_onto_homomorphism(q_from: Query, q_to: Query) -> Optional[dict[str, s
         for e in sorted(best_c):
             assign[best_v] = e
             found = rec(unassigned - {best_v})
-            if found is not None:
-                del assign[best_v]
-                return found
             del assign[best_v]
+            if found is not None:
+                return found
         return None
 
     return rec(frozenset(q_from.variables))

@@ -137,3 +137,14 @@ def test_equal_values_with_huge_exponents_compare_fast():
     assert time.perf_counter() - start < 1.0
     assert Count.of(2**70) == Count.of(2) ** 70
     assert hash(Count.of(2**70)) == hash(Count.of(2) ** 70)
+
+
+def test_refining_a_high_power_against_its_root_is_one_step():
+    # the shared gcd is divided out to its full power by repeated squaring,
+    # not one factor per refinement step
+    start = time.perf_counter()
+    a = Count.of(2**40000) * Count.of(2)
+    assert a == Count.of(2) ** 40001
+    assert a.factors == ((2, 40001),)
+    assert Count.of(6**5000) * Count.of(4) == Count.of(2) ** 5002 * Count.of(3) ** 5000
+    assert time.perf_counter() - start < 0.1

@@ -1,6 +1,8 @@
 """The compiled triple for the two-variable linear polynomial is small
 enough to check against hand-computed values end to end."""
 
+import itertools
+
 import pytest
 
 from bagcq import (
@@ -23,6 +25,7 @@ from bagcq import (
     map_elements,
     normalize_hilbert,
 )
+from bagcq.harness.suites import builtin_polynomials
 
 TINY = Polynomial(2, ((1, (2,)), (-1, ())))
 
@@ -72,6 +75,21 @@ def test_arena_is_nontrivial_and_counts_once(out):
 
 def test_star_counts_match_the_polynomials(inst, out):
     for v in ({1: 1, 2: 2}, {1: 2, 2: 3}, {1: 0, 2: 5}):
+        d = build_correct_database(inst, v)
+        assert count_homomorphisms(out.pi_s, d) == eval_poly(inst.p_s, v)
+        assert count_homomorphisms(out.pi_b, d) == v[1] ** inst.degree * eval_poly(
+            inst.p_b, v
+        )
+
+
+@pytest.mark.parametrize("name", sorted(builtin_polynomials()))
+def test_star_counts_match_every_builtin_polynomial_on_the_box(name):
+    # xy-6's pi_b has 538 variables; it counts only because its tree shape
+    # is summed out before the search
+    inst = normalize_hilbert(builtin_polynomials()[name])
+    out = assemble(inst)
+    for values in itertools.product(range(3), repeat=inst.n_count):
+        v = dict(zip(range(1, inst.n_count + 1), values))
         d = build_correct_database(inst, v)
         assert count_homomorphisms(out.pi_s, d) == eval_poly(inst.p_s, v)
         assert count_homomorphisms(out.pi_b, d) == v[1] ** inst.degree * eval_poly(
