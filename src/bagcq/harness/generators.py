@@ -1,5 +1,6 @@
 """Seed-reproducible random structures, and the database sources that
-claims are checked over.
+claims are checked over: random draws, fact subsets, correct databases
+and perturbations of a given database.
 
 All randomness flows through an explicit random.Random so that identical
 arguments always produce identical objects; suites derive one seed per
@@ -10,15 +11,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..encoder import build_correct_database
 from ..polyreduce import HilbertInstance
-from ..relcore import MARS, VENUS, Atom, Const, Database, Fact, Query, Schema, ValidationError
+from ..relcore import (
+    MARS, VENUS, Atom, Const, Database, Fact, Query, Schema, ValidationError, map_elements,
+)
 
 __all__ = [
     "derive_seed", "random_database", "random_query",
     "random_databases", "search_databases", "fact_subsets", "correct_databases",
+    "added_facts", "merged_constants",
 ]
 
 
@@ -138,3 +142,23 @@ def correct_databases(inst: HilbertInstance, box: int) -> Iterator[Database]:
     lexicographic order of the valuation."""
     for values in itertools.product(range(box + 1), repeat=inst.n_count):
         yield build_correct_database(inst, dict(zip(range(1, inst.n_count + 1), values)))
+
+
+def added_facts(d: Database, relations: Iterable[str]) -> Iterator[Database]:
+    """d plus one fact it lacks, for every such fact over the relations,
+    in the given relation order and then sorted element tuples."""
+    elements = sorted(d.elements)
+    for rel in relations:
+        for t in itertools.product(elements, repeat=d.schema.arity(rel)):
+            if Fact(rel, t) not in d.facts:
+                yield Database(d.schema, d.elements, d.facts | {Fact(rel, t)}, dict(d.const_interp))
+
+
+def merged_constants(d: Database) -> Iterator[Database]:
+    """d with the element of one constant renamed to that of an earlier
+    one, for every pair of interpreted constants, in schema order, that
+    name distinct elements."""
+    names = [c for c in d.schema.constants if c in d.const_interp]
+    for a, b in itertools.combinations(names, 2):
+        if d.const_interp[a] != d.const_interp[b]:
+            yield map_elements(d, {d.const_interp[b]: d.const_interp[a]})

@@ -5,8 +5,8 @@ search assert.  `check_claim` runs one over any iterable of databases
 from `generators` and reports the number checked, the non-vacuous ones
 (lhs(D) > 0), the less / equal / greater histogram and the first
 violator, shrunk on request by greedy fact removal.  The search checks
-a triple's c * phi_s(D) <= phi_b(D) over random databases or every
-small fact set; a factor num/den is searched as (c=num, rhs_scale=den).
+a claim, such as a triple's c * phi_s(D) <= phi_b(D), over random
+databases or every small fact set.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from ..qalgebra import QueryExpr, eval_expr, expr_schema
 from ..relcore import Database, ValidationError
 from .generators import fact_subsets, search_databases
 
-__all__ = [
-    "Claim", "ClaimCheck", "check_claim", "SearchConfig", "search_claim", "search_counterexample"
-]
+__all__ = ["Claim", "ClaimCheck", "check_claim", "SearchConfig", "search_claim"]
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,8 @@ class SearchConfig:
             raise ValidationError(f"unknown search mode {self.mode!r}")
         if self.max_domain < 2:
             raise ValidationError("searching needs at least two elements")
+        if self.trials < 0 or self.max_states < 0:
+            raise ValidationError("trials and max_states must be >= 0")
 
 
 def search_claim(claim: Claim, cfg: SearchConfig) -> ClaimCheck:
@@ -106,10 +106,3 @@ def search_claim(claim: Claim, cfg: SearchConfig) -> ClaimCheck:
     else:
         databases = search_databases(schema, cfg.max_domain, cfg.trials, cfg.seed)
     return check_claim(claim, databases, shrink=True)
-
-
-def search_counterexample(
-    c: Count, phi_s: QueryExpr, phi_b: QueryExpr, cfg: SearchConfig, rhs_scale: Count = Count.of(1)
-) -> Optional[Database]:
-    """Return a minimal violating database, or None if the search found none."""
-    return search_claim(Claim(phi_s, phi_b, c, rhs_scale), cfg).violator

@@ -1,101 +1,58 @@
 """Property suites: every claim the package relies on, re-checked by
 independent routes on desk-scale instances.
 
-Each suite draws seed-derived random instances (or sweeps a small box
-exhaustively), compares exact counts, and reports failures that replay
-from their recorded per-trial seed.  Bound suites check each bound as a
-`Claim` over a source from `generators`, with the checker `search` uses.
-Suite names describe the behavior under test; `run_suite` takes one
-name, so iterate SUITES to run all.
+A suite is a list of rows over sources of cases.  An identity row
+(`_Ctx.identity`) asserts left(case) == right(case) for each (seed,
+case) pair: engine against enumeration, a transform's count against its
+closed form, a star count against a polynomial value, a round-trip.  A
+claim row (`_Ctx.bound`) checks a `Claim` over a database source from
+`generators`, with the checker `search` uses.  Random sources derive one
+seed per trial, so every failure replays from its recorded seed.  Suite
+names describe the behavior under test; `run_suite` takes one name, so
+iterate SUITES to run all.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from ..counts import Count, compare_counts
+from ..counts import Count
 from ..encoder import (
-    DbClassification,
-    assemble,
-    build_correct_database,
-    classify_database,
-    extract_valuation,
-    instance_schema,
+    DbClassification, EncoderOutput, assemble, build_correct_database, classify_database,
+    extract_valuation, instance_schema,
 )
 from ..gadgets import (
-    BETA_RELATION,
-    alpha_witness,
-    beta_witness,
-    build_alpha,
-    build_beta,
-    build_gamma,
-    classify_cycliques,
-    gamma_witness,
+    BETA_RELATION, alpha_witness, beta_witness, build_alpha, build_beta, build_gamma,
+    classify_cycliques, gamma_witness,
 )
 from ..homcount import count_homomorphisms, exists_onto_homomorphism
 from ..polyreduce import (
-    HilbertInstance,
-    Polynomial,
-    eval_poly,
-    normalize_hilbert,
-    validate_instance,
+    HilbertInstance, Polynomial, eval_poly, normalize_hilbert, validate_instance,
 )
 from ..qalgebra import (
-    DisjointAnd,
-    Leaf,
-    Power,
-    blowup,
-    conjoin_disjoint,
-    eval_expr,
-    flatten,
-    inequality_elimination_witness,
-    power_product,
-    product,
-    strip_inequalities,
+    DisjointAnd, Leaf, Power, blowup, conjoin_disjoint, eval_expr, flatten,
+    inequality_elimination_witness, power_product, strip_inequalities,
 )
 from ..relcore import (
-    Atom,
-    Const,
-    Database,
-    Fact,
-    Query,
-    Schema,
-    UninterpretedConstantError,
-    map_elements,
+    Atom, Const, Database, Fact, Query, Schema, UninterpretedConstantError, ValidationError,
 )
 from .formats import (
-    parse_count,
-    parse_database,
-    parse_expr,
-    parse_polynomial,
-    parse_query,
-    serialize_count,
-    serialize_database,
-    serialize_expr,
-    serialize_polynomial,
-    serialize_query,
+    parse_count, parse_database, parse_expr, parse_polynomial, parse_query, serialize_count,
+    serialize_database, serialize_expr, serialize_polynomial, serialize_query,
 )
 from .generators import (
-    correct_databases,
-    derive_seed,
-    random_database,
-    random_databases,
-    random_query,
+    added_facts, correct_databases, derive_seed, merged_constants, random_database,
+    random_databases, random_query,
 )
 from .search import Claim, check_claim
 
 __all__ = [
-    "SuiteFailure",
-    "SuiteReport",
-    "SUITES",
-    "run_suite",
-    "count_by_enumeration",
-    "builtin_polynomials",
-    "TINY_POLYNOMIAL",
-    "normalization_identity_holds",
+    "SuiteFailure", "SuiteReport", "SUITES", "run_suite", "count_by_enumeration",
+    "builtin_polynomials", "TINY_POLYNOMIAL", "normalization_identity_holds",
 ]
 
 
@@ -112,7 +69,8 @@ class SuiteReport:
     trials: int
     failures: list[SuiteFailure] = field(default_factory=list)
     wall_time: float = 0.0
-    # Claim checks with a nonzero left side (strip makes two per trial).
+    # Claim checks with a nonzero left side (strip makes two per trial),
+    # plus identity cases whose expected counts are all nonzero.
     nonvacuous: Optional[int] = None
 
     @property
@@ -156,6 +114,34 @@ def builtin_polynomials() -> dict[str, Polynomial]:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _x_minus_1() -> tuple[HilbertInstance, EncoderOutput]:
+    """The tiny instance and its compiled triple, built once."""
+    inst = normalize_hilbert(TINY_POLYNOMIAL)
+    return inst, assemble(inst)
+
+
+def _describe(case) -> tuple[str, str]:
+    """A case's queries and databases as witness text, and its other parts
+    as a note for the failure message."""
+    parts = case if isinstance(case, tuple) else (case,)
+    witness = "".join(serialize_query(p) if isinstance(p, Query) else serialize_database(p)
+                      for p in parts if isinstance(p, (Query, Database)))
+    note = ", ".join(repr(p) for p in parts if not isinstance(p, (Query, Database)))
+    return witness, note and " at " + note
+
+
+def _show(v) -> str:
+    return "(" + ", ".join(map(_show, v)) + ")" if isinstance(v, tuple) else str(v)
+
+
+def _nonzero(v) -> bool:
+    """No zero in v, a count or a tuple of counts."""
+    if isinstance(v, tuple):
+        return all(map(_nonzero, v))
+    return not v.is_zero() if isinstance(v, Count) else v != 0
+
+
 class _Ctx:
     def __init__(self, report: SuiteReport) -> None:
         self.report = report
@@ -163,6 +149,26 @@ class _Ctx:
     def check(self, cond: bool, seed: int, message: str, witness: str = "") -> None:
         if not cond:
             self.report.failures.append(SuiteFailure(seed, message, witness))
+
+    def identity(
+        self, label: str, cases: Iterable[tuple[int, object]], left: Callable, right: Callable,
+        tally: bool = True,
+    ) -> int:
+        """Check left(case) == right(case) for each (seed, case) pair and
+        return the number of cases.  Each mismatch is a failure at its seed
+        with the case as witness; with tally=True, cases whose expected
+        value has no zero count add to the report's nonvacuous total."""
+        checked = nonvacuous = 0
+        for s, case in cases:
+            want, got = right(case), left(case)
+            checked += 1
+            nonvacuous += _nonzero(want)
+            if got != want:
+                witness, note = _describe(case)
+                self.check(False, s, f"{label}{note}: {_show(got)} != {_show(want)}", witness)
+        if tally:
+            self.report.nonvacuous = (self.report.nonvacuous or 0) + nonvacuous
+        return checked
 
     def bound(
         self, label: str, claim: Claim, databases: Iterable[Database], seed: int,
@@ -179,30 +185,49 @@ class _Ctx:
                        serialize_database(result.violator))
 
 
+def _seeded(seed: int, trials: int, draw: Callable[[int, int], object]) -> Iterator[tuple]:
+    """(s, draw(t, s)) for each trial t, with s = derive_seed(seed, t)."""
+    for t in range(trials):
+        s = derive_seed(seed, t)
+        yield s, draw(t, s)
+
+
+_RU = Schema({"R": 2, "U": 1})
+
+
+def _small_db(t: int, s: int) -> Database:
+    """The algebra suites' database: 2-3 elements, density 0.3-0.7 by trial."""
+    return random_database(_RU, 2 + t % 2, 0.3 + 0.5 * (t % 5) / 5, s)
+
+
+def _plain_pair(t: int, s: int) -> tuple[Query, Database]:
+    """A query without inequalities (with constants every fourth trial)
+    and a database."""
+    q = random_query(_RU, 3, 3, s, allow_inequalities=False, allow_constants=t % 4 == 0)
+    return q, _small_db(t, s + 1)
+
+
 def _suite_oracle(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     schema = Schema({"R": 2, "T": 3, "U": 1})
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        d = random_database(schema, 2 + trial % 3, 0.2 + 0.6 * ((trial * 7) % 10) / 10, s)
-        q = random_query(
-            schema, max_vars=4, max_atoms=4, seed=s + 1, allow_constants=trial % 3 == 0
-        )
-        got = count_homomorphisms(q, d)
-        want = count_by_enumeration(q, d)
-        ctx.check(
-            got == want,
-            s,
-            f"engine said {got}, enumeration said {want}",
-            serialize_query(q) + serialize_database(d),
-        )
+
+    def draw(t: int, s: int) -> tuple[Query, Database]:
+        q = random_query(schema, max_vars=4, max_atoms=4, seed=s + 1, allow_constants=t % 3 == 0)
+        return q, random_database(schema, 2 + t % 3, 0.2 + 0.6 * ((t * 7) % 10) / 10, s)
+
+    ctx.identity("engine against enumeration", _seeded(seed, trials, draw),
+                 lambda c: count_homomorphisms(*c), lambda c: count_by_enumeration(*c))
 
 
 def _witness_counts(ctx: _Ctx, seed: int, build, witness, expected: Mapping) -> None:
-    """Each gadget witness gives the pair exactly the expected (s, b) counts."""
-    for param, want in expected.items():
+    """Each gadget witness gives the pair exactly the expected (s, b) counts.
+    These fixed checks stay out of the tally of the suite's random claim."""
+
+    def counts(param: int) -> tuple[int, int]:
         pair, w = build(param), witness(param)
-        got = (count_homomorphisms(pair.q_s, w), count_homomorphisms(pair.q_b, w))
-        ctx.check(got == want, seed, f"{param}: witness counts {got}, expected {want}")
+        return count_homomorphisms(pair.q_s, w), count_homomorphisms(pair.q_b, w)
+
+    ctx.identity("witness counts", [(seed, p) for p in expected], counts, expected.__getitem__,
+                 tally=False)
 
 
 def _suite_beta(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
@@ -238,78 +263,62 @@ def _suite_alpha(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
 
 
 def _suite_disjoint_and(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    schema = Schema({"R": 2, "U": 1})
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        q1 = random_query(schema, 3, 3, s, allow_inequalities=trial % 2 == 0)
-        q2 = random_query(schema, 3, 3, s + 1, allow_inequalities=trial % 2 == 0)
-        d = random_database(schema, 2 + trial % 2, 0.3 + 0.5 * (trial % 5) / 5, s + 2)
-        prod = count_homomorphisms(q1, d) * count_homomorphisms(q2, d)
-        joint = count_homomorphisms(conjoin_disjoint(q1, q2), d)
-        via_expr = eval_expr(DisjointAnd((Leaf(q1), Leaf(q2))), d)
-        ctx.check(
-            joint == prod and via_expr == Count.of(prod),
-            s,
-            f"disjoint conjunction count {joint} (expr {via_expr}) != product {prod}",
-            serialize_query(q1) + serialize_query(q2) + serialize_database(d),
-        )
+    def draw(t: int, s: int) -> tuple[Query, Query, Database]:
+        q1, q2 = (random_query(_RU, 3, 3, s + i, allow_inequalities=t % 2 == 0) for i in (0, 1))
+        return q1, q2, _small_db(t, s + 2)
+
+    def joint(c: tuple[Query, Query, Database]) -> tuple[int, Count]:
+        q1, q2, d = c
+        return (count_homomorphisms(conjoin_disjoint(q1, q2), d),
+                eval_expr(DisjointAnd((Leaf(q1), Leaf(q2))), d))
+
+    def product_of_counts(c: tuple[Query, Query, Database]) -> tuple[int, Count]:
+        n = count_homomorphisms(c[0], c[2]) * count_homomorphisms(c[1], c[2])
+        return n, Count.of(n)
+
+    ctx.identity("disjoint conjunction (count, expr) against the product",
+                 _seeded(seed, trials, draw), joint, product_of_counts)
 
 
 def _suite_power(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    schema = Schema({"R": 2, "U": 1})
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        q = random_query(schema, 2, 2, s)
-        d = random_database(schema, 2 + trial % 2, 0.3 + 0.5 * (trial % 5) / 5, s + 1)
-        base = count_homomorphisms(q, d)
-        for k in range(4):
-            expr = Power(Leaf(q), k)
-            got = eval_expr(expr, d)
-            ctx.check(
-                got == Count.of(base**k),
-                s,
-                f"eval of power {k} gave {got}, expected {base}^{k}",
-            )
-            flat = count_homomorphisms(flatten(expr), d)
-            ctx.check(flat == base**k, s, f"flattened power {k} counted {flat}")
+    def powers(c: tuple[Query, Database]) -> tuple[tuple, tuple]:
+        q, d = c
+        exprs = [Power(Leaf(q), k) for k in range(4)]
+        return (tuple(eval_expr(e, d) for e in exprs),
+                tuple(count_homomorphisms(flatten(e), d) for e in exprs))
+
+    def base_powers(c: tuple[Query, Database]) -> tuple[tuple, tuple]:
+        base = count_homomorphisms(*c)
+        return tuple(Count.of(base**k) for k in range(4)), tuple(base**k for k in range(4))
+
+    draws = _seeded(seed, trials, lambda t, s: (random_query(_RU, 2, 2, s), _small_db(t, s + 1)))
+    ctx.identity("powers 0..3 (eval, flattened) against base^k", draws, powers, base_powers)
 
 
 def _suite_blowup(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    schema = Schema({"R": 2, "U": 1})
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        q = random_query(
-            schema, 3, 3, s, allow_inequalities=False, allow_constants=trial % 4 == 0
-        )
-        d = random_database(schema, 2 + trial % 2, 0.3 + 0.5 * (trial % 5) / 5, s + 1)
-        k = 1 + trial % 3
-        j = len(q.variables)
-        want = k**j * count_homomorphisms(q, d)
-        got = count_homomorphisms(q, blowup(d, k))
-        ctx.check(got == want, s, f"blow-up by {k}: {got} != {k}^{j} * base = {want}",
-                  serialize_query(q) + serialize_database(d))
+    ctx.identity(
+        "blow-up by k against k^|vars| * base",
+        _seeded(seed, trials, lambda t, s: (*_plain_pair(t, s), 1 + t % 3)),
+        lambda c: count_homomorphisms(c[0], blowup(c[1], c[2])),
+        lambda c: c[2] ** len(c[0].variables) * count_homomorphisms(c[0], c[1]),
+    )
 
 
 def _suite_product(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    schema = Schema({"R": 2, "U": 1})
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        q = random_query(
-            schema, 3, 3, s, allow_inequalities=False, allow_constants=trial % 4 == 0
-        )
-        d = random_database(schema, 2 + trial % 2, 0.3 + 0.5 * (trial % 5) / 5, s + 1)
-        base = count_homomorphisms(q, d)
-        got = count_homomorphisms(q, product(d, d))
-        ctx.check(got == base**2, s, f"product square: {got} != {base}^2",
-                  serialize_query(q) + serialize_database(d))
-        if trial % 5 == 0:
-            got3 = count_homomorphisms(q, power_product(d, 3))
-            ctx.check(got3 == base**3, s, f"product cube: {got3} != {base}^3")
+    def base_powers(c: tuple[Query, Database, tuple[int, ...]]) -> tuple[int, ...]:
+        base = count_homomorphisms(c[0], c[1])
+        return tuple(base**n for n in c[2])
+
+    ctx.identity(
+        "n-fold product counts against base^n",  # the cube every fifth trial
+        _seeded(seed, trials, lambda t, s: (*_plain_pair(t, s), (2, 3) if t % 5 == 0 else (2,))),
+        lambda c: tuple(count_homomorphisms(c[0], power_product(c[1], n)) for n in c[2]),
+        base_powers,
+    )
 
 
 def _suite_star_onto(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    inst = normalize_hilbert(TINY_POLYNOMIAL)
-    out = assemble(inst)
+    inst, out = _x_minus_1()
     ctx.check(
         exists_onto_homomorphism(out.pi_b, out.pi_s) is not None,
         seed,
@@ -321,116 +330,58 @@ def _suite_star_onto(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None
 
 
 def _suite_star_eval(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    inst = normalize_hilbert(TINY_POLYNOMIAL)
-    out = assemble(inst)
+    inst, out = _x_minus_1()
     box = int(params.get("box", 3))
-    count = 0
-    for values in itertools.product(range(box + 1), repeat=inst.n_count):
-        v = dict(zip(range(1, inst.n_count + 1), values))
-        d = build_correct_database(inst, v)
-        count += 1
-        ps = count_homomorphisms(out.pi_s, d)
-        pb = count_homomorphisms(out.pi_b, d)
-        want_s = eval_poly(inst.p_s, v)
-        want_b = v[1] ** inst.degree * eval_poly(inst.p_b, v)
-        ctx.check(
-            ps == want_s and pb == want_b,
-            seed,
-            f"at {v}: star counts ({ps}, {pb}), polynomial says ({want_s}, {want_b})",
-        )
-        ctx.check(
-            extract_valuation(d, inst) == v, seed, f"valuation round-trip failed at {v}"
-        )
-    ctx.report.trials = count
+    valuations = [dict(zip(range(1, inst.n_count + 1), values))
+                  for values in itertools.product(range(box + 1), repeat=inst.n_count)]
+    cases = [(seed, vd) for vd in zip(valuations, correct_databases(inst, box))]
+    ctx.report.trials = ctx.identity(
+        "star counts against the polynomial values", cases,
+        lambda c: (count_homomorphisms(out.pi_s, c[1]), count_homomorphisms(out.pi_b, c[1])),
+        lambda c: (eval_poly(inst.p_s, c[0]), c[0][1] ** inst.degree * eval_poly(inst.p_b, c[0])),
+    )
+    ctx.identity("valuation round-trip", cases, lambda c: extract_valuation(c[1], inst),
+                 lambda c: c[0], tally=False)
+
+
+_ONE = DisjointAnd(())  # the empty product: 1 on every database
 
 
 def _suite_scale_floor(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    inst = normalize_hilbert(TINY_POLYNOMIAL)
-    out = assemble(inst)
+    inst, out = _x_minus_1()
     zeta = out.phi_b.children[1]
-    ctx.check(
-        eval_expr(zeta, out.arena_db) == out.c1,
-        seed,
-        "arena count of the scale expression is not c1",
-    )
-    d_correct = build_correct_database(inst, {1: 2, 2: 1})
-    ctx.check(
-        eval_expr(zeta, d_correct) == out.c1,
-        seed,
-        "correct database moved the scale count off c1",
-    )
+    fixed = [(seed, out.arena_db), (seed, build_correct_database(inst, {1: 2, 2: 1}))]
+    ctx.identity("arena and correct database: scale count against c1", fixed,
+                 lambda d: eval_expr(zeta, d), lambda d: out.c1)
     vocab = [f"S{m}" for m in range(1, inst.m_count + 1)]
     vocab += [f"R{d}" for d in range(1, inst.degree + 1)]
-    elements = sorted(out.arena_db.elements)
-    candidates = [
-        Fact(rel, (x, y))
-        for rel in vocab
-        for x in elements
-        for y in elements
-        if Fact(rel, (x, y)) not in out.arena_db.facts
-    ]
-    step = max(1, len(candidates) // max(trials, 1))
-    tested = 0
-    for f in candidates[::step]:
-        d = Database(
-            out.arena_db.schema,
-            out.arena_db.elements,
-            out.arena_db.facts | {f},
-            dict(out.arena_db.const_interp),
-        )
-        label = classify_database(d, inst)
-        ctx.check(
-            label is DbClassification.SLIGHTLY_INCORRECT,
-            seed,
-            f"arena plus {f} classified {label}",
-        )
-        got = eval_expr(zeta, d)
-        ctx.check(
-            compare_counts(got, out.c) in ("greater", "equal"),
-            seed,
-            f"extra fact {f} left the scale count at {got}, below c = {out.c}",
-        )
-        tested += 1
-    ctx.report.trials = tested + 2
+    extra = list(added_facts(out.arena_db, vocab))
+    extra = extra[:: max(1, len(extra) // max(trials, 1))]
+    ctx.identity("arena plus a fact: classification", [(seed, d) for d in extra],
+                 lambda d: classify_database(d, inst),
+                 lambda d: DbClassification.SLIGHTLY_INCORRECT, tally=False)
+    ctx.bound("arena plus a fact: c*1 <= zeta", Claim(_ONE, zeta, num=out.c), extra, seed)
+    ctx.report.trials = len(fixed) + len(extra)
 
 
 def _suite_cycle_guard(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    inst = normalize_hilbert(TINY_POLYNOMIAL)
-    out = assemble(inst)
+    inst, out = _x_minus_1()
     delta = out.phi_b.children[2]
-    base = delta.base
-    ctx.check(
-        eval_expr(delta, out.arena_db).is_one(), seed, "arena cycle count is not 1"
-    )
-    d_correct = build_correct_database(inst, {1: 1, 2: 2})
-    ctx.check(
-        eval_expr(delta, d_correct).is_one(), seed, "correct database cycle count is not 1"
-    )
-    names = [c for c in out.arena_db.schema.constants]
-    tested = 0
-    for c1, c2 in itertools.combinations(names, 2):
-        merged = map_elements(out.arena_db, {c2: c1})
-        label = classify_database(merged, inst)
-        ctx.check(
-            label is DbClassification.SERIOUSLY_INCORRECT,
-            seed,
-            f"identifying {c1} and {c2} classified {label}",
-        )
-        b = eval_expr(base, merged)
-        ctx.check(
-            compare_counts(b, Count.of(2)) in ("greater", "equal"),
-            seed,
-            f"identifying {c1} and {c2} left the cycle base at {b}",
-            serialize_database(merged),
-        )
-        tested += 1
-    ctx.report.trials = tested + 2
+    fixed = [(seed, out.arena_db), (seed, build_correct_database(inst, {1: 1, 2: 2}))]
+    ctx.identity("arena and correct database: cycle count against 1", fixed,
+                 lambda d: eval_expr(delta, d), lambda d: Count.of(1))
+    merged = list(merged_constants(out.arena_db))
+    ctx.identity("two constants merged: classification", [(seed, d) for d in merged],
+                 lambda d: classify_database(d, inst),
+                 lambda d: DbClassification.SERIOUSLY_INCORRECT, tally=False)
+    ctx.bound("two constants merged: 2*1 <= delta base", Claim(_ONE, delta.base, num=Count.of(2)),
+              merged, seed)
+    ctx.report.trials = len(fixed) + len(merged)
 
 
 def _suite_end_to_end(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     box = int(params.get("box", 3))
-    inst = normalize_hilbert(TINY_POLYNOMIAL)
-    out = assemble(inst)
+    inst, out = _x_minus_1()
     root = [build_correct_database(inst, {1: 1, 2: 1})]
     found = check_claim(Claim(out.phi_s, out.phi_b, num=out.c), root).violator
     ctx.check(found is not None, seed, "the root of x-1 does not beat c*phi_s <= phi_b")
@@ -456,7 +407,7 @@ def normalization_identity_holds(inst: HilbertInstance) -> bool:
 
 def _suite_normalization(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
     box = int(params.get("box", 4))
-    checked = 0
+    ctx.report.trials = 0
     for name, q in builtin_polynomials().items():
         inst = normalize_hilbert(q)
         violations = validate_instance(inst)
@@ -474,17 +425,12 @@ def _suite_normalization(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> 
             f"{name}: P_b(1,.) - c*P_s(1,.) differs from c*(Q^2 - 1)",
         )
         used = q.variables_used()
-        for values in itertools.product(range(box + 1), repeat=len(used)):
-            v = dict(zip(used, values))
-            q_zero = eval_poly(q, v) == 0
-            p_gt = eval_poly(inst.p1, v) > eval_poly(inst.p2, v)
-            ctx.check(
-                q_zero == p_gt,
-                seed,
-                f"{name} at {v}: root={q_zero} but intermediate comparison={p_gt}",
-            )
-            checked += 1
-    ctx.report.trials = checked
+        points = [(seed, dict(zip(used, values)))
+                  for values in itertools.product(range(box + 1), repeat=len(used))]
+        ctx.report.trials += ctx.identity(
+            f"{name}: intermediate comparison P1 > P2 against being a root", points,
+            lambda v: eval_poly(inst.p1, v) > eval_poly(inst.p2, v), lambda v: eval_poly(q, v) == 0,
+            tally=False)
 
 
 def _suite_strip(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
@@ -565,57 +511,40 @@ def _suite_cycliques(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None
 
 
 def _suite_roundtrip(ctx: _Ctx, trials: int, seed: int, params: Mapping) -> None:
-    inst = normalize_hilbert(TINY_POLYNOMIAL)
-    out = assemble(inst)
+    inst, out = _x_minus_1()
     beta = build_beta(3)
     queries = [beta.q_s, beta.q_b, build_gamma(4).q_s, out.pi_s, out.pi_b, out.arena_query]
-    for i, q in enumerate(queries):
-        text = serialize_query(q)
-        back = parse_query(text, schema=q.schema)
-        ctx.check(back == q, seed, f"query {i} round-trip changed the query")
-        ctx.check(
-            serialize_query(parse_query(text)) == text,
-            seed,
-            f"query {i} text round-trip is not idempotent",
-        )
-    for i, d in enumerate([beta_witness(3), gamma_witness(4), alpha_witness(2), out.arena_db]):
-        text = serialize_database(d)
-        back = parse_database(text, schema=d.schema)
-        ctx.check(back == d, seed, f"database {i} round-trip changed the database")
-    for name, p in builtin_polynomials().items():
-        ctx.check(
-            parse_polynomial(serialize_polynomial(p)) == p,
-            seed,
-            f"polynomial {name} round-trip changed it",
-        )
+    databases = [beta_witness(3), gamma_witness(4), alpha_witness(2), out.arena_db]
+    counts = [out.c, out.c1, Count.of(0), Count.of(1), Count.of(12)]
     schema = instance_schema(inst)
-    for i, e in enumerate([out.phi_s, out.phi_b]):
-        text = serialize_expr(e)
-        ctx.check(
-            parse_expr(text, schema=schema) == e,
-            seed,
-            f"expression {i} round-trip changed it",
-        )
-    for i, c in enumerate([out.c, out.c1, Count.of(0), Count.of(1), Count.of(12)]):
-        ctx.check(
-            parse_count(serialize_count(c)) == c, seed, f"count {i} round-trip changed it"
-        )
-    for trial in range(trials):
-        s = derive_seed(seed, trial)
-        schema = Schema({"R": 2, "U": 1})
-        d = random_database(schema, 2 + trial % 3, 0.4, s)
-        ctx.check(
-            parse_database(serialize_database(d), schema=schema) == d,
-            s,
-            "random database round-trip changed it",
-        )
-        q = random_query(schema, 3, 3, s + 1, allow_constants=True)
-        ctx.check(
-            parse_query(serialize_query(q), schema=schema) == q,
-            s,
-            "random query round-trip changed it",
-            serialize_query(q),
-        )
+
+    def draw(t: int, s: int) -> tuple[Database, Query]:
+        return random_database(_RU, 2 + t % 3, 0.4, s), random_query(_RU, 3, 3, s + 1,
+                                                                      allow_constants=True)
+
+    def fixed(objects: Iterable) -> list[tuple[int, object]]:
+        return [(seed, x) for x in objects]
+
+    def same(x: object) -> object:
+        return x
+
+    rows = [
+        ("query", fixed(queries), lambda q: parse_query(serialize_query(q), schema=q.schema), same),
+        ("query text", fixed(queries), lambda q: serialize_query(parse_query(serialize_query(q))),
+         serialize_query),
+        ("database", fixed(databases),
+         lambda d: parse_database(serialize_database(d), schema=d.schema), same),
+        ("polynomial", fixed(builtin_polynomials().values()),
+         lambda p: parse_polynomial(serialize_polynomial(p)), same),
+        ("expression", fixed([out.phi_s, out.phi_b]),
+         lambda e: parse_expr(serialize_expr(e), schema=schema), same),
+        ("count", fixed(counts), lambda c: parse_count(serialize_count(c)), same),
+        ("random database and query", _seeded(seed, trials, draw),
+         lambda c: (parse_database(serialize_database(c[0]), schema=_RU),
+                    parse_query(serialize_query(c[1]), schema=_RU)), same),
+    ]
+    for kind, cases, left, right in rows:
+        ctx.identity(f"{kind} round-trip", cases, left, right, tally=False)
 
 
 _SuiteFn = Callable[[_Ctx, int, int, Mapping], None]
@@ -652,6 +581,8 @@ def run_suite(
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     default_trials, fn = SUITES[name]
     n = default_trials if trials is None else trials
+    if n < 0:
+        raise ValidationError(f"trials must be >= 0, got {n}")
     report = SuiteReport(suite=name, trials=n)
     ctx = _Ctx(report)
     start = time.perf_counter()

@@ -1,8 +1,11 @@
 import io
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bagcq.harness import cli
 from bagcq.harness.suites import SuiteReport
@@ -223,3 +226,103 @@ def test_malformed_file_exits_two_with_a_line_number(tmp_path, inst_dir, name, t
 def test_missing_file_exits_two(tmp_path):
     code, _, err = run("eval", "-q", str(tmp_path / "nope.cq"), "-d", str(tmp_path / "nope.db"))
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [("--trials", "-3"), ("--mode", "exhaustive", "--max-states", "-1")])
+def test_search_rejects_negative_counts(inst_dir, flags):
+    code, out, err = run("search", "-i", inst_dir, *flags)
+    assert code == 2
+    assert err.startswith("error: ") and "must be >= 0" in err
+    assert out == ""
+
+
+def test_verify_rejects_negative_trials():
+    code, out, err = run("verify", "--suite", "power", "--trials", "-1")
+    assert code == 2
+    assert "must be >= 0" in err
+    assert out == ""
+
+
+@pytest.fixture(scope="module")
+def x1_dir(tmp_path_factory):
+    """One reduced x-1 instance directory, shared by every fuzz example."""
+    poly = tmp_path_factory.mktemp("x1") / "q.poly"
+    poly.write_text("vars 2\nterm 1 2\nterm -1\n", encoding="utf-8")
+    d = str(poly.parent / "inst")
+    assert run("reduce", "-p", str(poly), "-o", d)[0] == 0
+    return d
+
+
+_GARBAGE = st.text(alphabet="atomelfcnsq E(x,y)@#\n-0123456789", max_size=24)
+_INT = st.integers(-3, 5).map(str)
+_TERM = st.sampled_from(["x", "y", "z", "@mars", "@venus"])
+
+
+def _lines(line):
+    return st.lists(line, max_size=4).map(lambda ls: "".join(ls))
+
+
+_CQ = st.one_of(_GARBAGE, _lines(st.one_of(
+    st.builds("atom E({},{})\n".format, _TERM, _TERM),
+    st.builds("atom U({})\n".format, _TERM),
+    st.builds("neq {} {}\n".format, _TERM, _TERM),
+)))
+_ELEM = st.sampled_from(["e1", "e2", "e3"])
+_DB = st.one_of(_GARBAGE, _lines(st.one_of(
+    st.builds("fact E({},{})\n".format, _ELEM, _ELEM),
+    st.builds("fact U({})\n".format, _ELEM),
+    st.builds("const @{} = {}\n".format, st.sampled_from(["mars", "venus", "a"]), _ELEM),
+)).map(lambda body: "elem e1 e2 e3\n" + body))
+_POLY = st.one_of(_GARBAGE, st.builds(
+    "vars {}\n{}".format, st.integers(2, 3),
+    _lines(st.builds("term {} {}\n".format, st.integers(-2, 2),
+                     st.lists(st.sampled_from(["2", "3"]), max_size=2).map(" ".join))),
+))
+_QX = st.one_of(_GARBAGE, st.builds('(pow (leaf "atom E(x,y)") {})'.format, _INT))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line and the files it reads; @T/ names a fresh directory
+    and @X/ the reduced x-1 instance."""
+    files = {"q.cq": draw(_CQ), "d.db": draw(_DB), "e.db": draw(_DB),
+             "p.poly": draw(_POLY), "e.qx": draw(_QX)}
+    db = draw(st.sampled_from(["@T/d.db", "@X/arena.db", "@T/missing.db"]))
+    argv = draw(st.sampled_from([
+        ["eval", "-q", draw(st.sampled_from(["@T/q.cq", "@T/e.qx", "@X/phi_s.cq", "@X/phi_b.qx"])),
+         "-d", db],
+        ["reduce", "-p", "@T/p.poly", "-o", "@T/out"],
+        ["gadget", draw(st.sampled_from(["beta", "gamma", "alpha"])), "--param", draw(_INT),
+         "-o", "@T/g"],
+        ["classify", "-d", db, "-i", draw(st.sampled_from(["@X", "@T"]))],
+        ["verify", "--suite", draw(st.sampled_from(["power", "strip", "cycliques", "nope"])),
+         "--trials", draw(_INT), "--seed", draw(_INT)],
+        ["search", "-i", "@X", "--trials", draw(_INT), "--max-domain", draw(st.integers(-1, 3).map(str)),
+         "--mode", draw(st.sampled_from(["random", "exhaustive"])),
+         "--max-states", draw(st.integers(-3, 20).map(str)), "--seed", draw(_INT)],
+        ["transform", draw(st.sampled_from(["strip-neq", "blowup", "product"])), "-q", "@T/q.cq",
+         "-d", db, "-e", "@T/e.db", "-k", draw(_INT), "-o", "@T/t.out"],
+        draw(st.lists(st.sampled_from(["eval", "search", "-q", "--trials", "-3", "@T/q.cq"]),
+                      max_size=4)),
+    ]))
+    return argv, files
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_command_lines())
+@example((["search", "-i", "@X", "--mode", "exhaustive", "--max-states", "-1"], {}))
+@example((["search", "-i", "@X", "--trials", "-3"], {}))
+@example((["verify", "--suite", "power", "--trials", "-1"], {}))
+def test_cli_exit_codes_hold_on_generated_command_lines(x1_dir, case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [a.replace("@T", tmp).replace("@X", x1_dir) for a in argv]
+        try:
+            code, _, err = run(*argv)
+        except SystemExit as exc:  # argparse usage errors
+            code, err = exc.code, ""
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

@@ -4,6 +4,7 @@ from bagcq import (
     Atom,
     Count,
     Database,
+    Fact,
     Leaf,
     Query,
     Schema,
@@ -14,9 +15,12 @@ from bagcq import (
     build_beta,
     compare_counts,
 )
-from bagcq.harness.search import Claim, check_claim
-from bagcq.harness.generators import derive_seed, random_database, random_query
-from bagcq.harness.search import SearchConfig, search_counterexample
+import bagcq.qalgebra as qalgebra
+import bagcq.harness.suites as suites
+from bagcq.harness.generators import (
+    added_facts, derive_seed, merged_constants, random_database, random_query,
+)
+from bagcq.harness.search import Claim, SearchConfig, check_claim, search_claim
 from bagcq.harness.suites import SUITES, count_by_enumeration, run_suite
 
 S = Schema({"R": 2, "U": 1})
@@ -89,14 +93,52 @@ def test_run_suite_rejects_unknown_names():
         run_suite("no-such-suite")
 
 
+def test_run_suite_rejects_negative_trials():
+    with pytest.raises(ValidationError):
+        run_suite("power", trials=-1)
+    assert run_suite("power", trials=0).ok
+
+
+def test_identity_suites_fail_when_the_engine_overcounts(monkeypatch):
+    """Every count-identity suite catches an engine that adds one to each
+    count above one, at each name the suites count through."""
+    real = suites.count_homomorphisms
+    suites._x_minus_1()  # compile x-1 with the real engine: the cache outlives the patch
+
+    def overcount(q, d):
+        n = real(q, d)
+        return n + 1 if n > 1 else n
+
+    monkeypatch.setattr(suites, "count_homomorphisms", overcount)
+    monkeypatch.setattr(qalgebra, "count_homomorphisms", overcount)
+    for name in ("oracle", "disjoint-and", "power", "blowup", "product", "star-eval"):
+        report = run_suite(name, trials=60, seed=3)
+        assert report.failures, name
+        assert all(f.witness for f in report.failures), name
+
+
+def test_added_facts_adds_each_missing_fact_once():
+    d = random_database(S, 2, 0.5, 11)
+    grown = list(added_facts(d, ["R", "U"]))
+    assert len(grown) == 2**2 + 2 - len(d.facts)
+    assert all(len(g.facts - d.facts) == 1 and g.facts > d.facts for g in grown)
+    assert len({g.facts for g in grown}) == len(grown)
+
+
+def test_merged_constants_merges_every_pair_of_distinct_elements():
+    schema = Schema({"R": 2}, constants=("a",))
+    d = Database(schema, frozenset({"e1", "e2", "e3"}), frozenset({Fact("R", ("e2", "e3"))}),
+                 {"mars": "e1", "venus": "e2", "a": "e3"})
+    merged = list(merged_constants(d))
+    assert [sorted(m.elements) for m in merged] == [["e1", "e3"], ["e1", "e2"], ["e1", "e2"]]
+    assert merged[2].facts == {Fact("R", ("e2", "e2"))}
+
+
 def test_search_finds_a_misdeclared_multiplier():
     pair = build_alpha(2)
-    d = search_counterexample(
-        Count.of(3),
-        Leaf(pair.q_s),
-        Leaf(pair.q_b),
-        SearchConfig(trials=4000, seed=1),
-    )
+    d = search_claim(
+        Claim(Leaf(pair.q_s), Leaf(pair.q_b), Count.of(3)), SearchConfig(trials=4000, seed=1)
+    ).violator
     assert d is not None
     # the shrunken witness still violates and cannot lose any single fact
     from bagcq import count_homomorphisms, is_nontrivial
@@ -115,13 +157,10 @@ def test_search_finds_a_misdeclared_multiplier():
 
 def test_search_stays_quiet_at_the_true_multiplier():
     pair = build_beta(3)
-    d = search_counterexample(
-        Count.of(6),
-        Leaf(pair.q_s),
-        Leaf(pair.q_b),
+    d = search_claim(
+        Claim(Leaf(pair.q_s), Leaf(pair.q_b), Count.of(6), Count.of(16)),
         SearchConfig(trials=600, seed=2),
-        rhs_scale=Count.of(16),
-    )
+    ).violator
     assert d is None
 
 
@@ -129,9 +168,9 @@ def test_search_exhaustive_mode_finds_the_minimal_pair():
     schema = Schema({"R": 2})
     q_s = Query(schema, (Atom("R", ("x", "y")),))
     q_b = Query(schema, (Atom("R", ("z", "z")),))
-    d = search_counterexample(
-        Count.of(1), Leaf(q_s), Leaf(q_b), SearchConfig(mode="exhaustive", max_domain=2)
-    )
+    d = search_claim(
+        Claim(Leaf(q_s), Leaf(q_b)), SearchConfig(mode="exhaustive", max_domain=2)
+    ).violator
     assert d is not None
     assert len(d.facts) == 1
     (fact,) = d.facts
@@ -142,12 +181,9 @@ def test_search_exhaustive_respects_the_state_cap():
     schema = Schema({"R": 2})
     q_s = Query(schema, (Atom("R", ("x", "y")),), (("x", "y"),))
     q_b = Query(schema, (Atom("R", ("z", "z")),))
-    d = search_counterexample(
-        Count.of(1),
-        Leaf(q_s),
-        Leaf(q_b),
-        SearchConfig(mode="exhaustive", max_domain=2, max_states=2),
-    )
+    d = search_claim(
+        Claim(Leaf(q_s), Leaf(q_b)), SearchConfig(mode="exhaustive", max_domain=2, max_states=2)
+    ).violator
     assert d is None  # masks 0 and 1 contain no violating database
 
 
@@ -156,6 +192,10 @@ def test_search_config_validation():
         SearchConfig(mode="clever")
     with pytest.raises(ValidationError):
         SearchConfig(max_domain=1)
+    with pytest.raises(ValidationError):
+        SearchConfig(trials=-3)
+    with pytest.raises(ValidationError):
+        SearchConfig(max_states=-1)
 
 
 def test_check_claim_counts_the_tight_beta_witness():
